@@ -46,7 +46,6 @@ class RunConfig:
     ga_rebalance: bool = False
     drop_weight: float = 100.0
     overload_weight: float = 1.0
-    infeasible_row_penalty: float = 10.0
     oracle_sweep: int = 20
     workload: str | None = None
     out: str | None = None
@@ -74,7 +73,6 @@ class RunConfig:
             overload=OverloadConfig(w=self.w, delta=self.delta),
             drop_weight=self.drop_weight,
             overload_weight=self.overload_weight,
-            infeasible_row_penalty=self.infeasible_row_penalty,
         )
 
     def sim_config(self) -> SimConfig:
@@ -111,7 +109,6 @@ _KEY_TYPES: dict[str, type] = {
     "ga_rebalance": bool,
     "drop_weight": float,
     "overload_weight": float,
-    "infeasible_row_penalty": float,
     "oracle_sweep": int,
     "workload": str,
     "out": str,
@@ -154,14 +151,15 @@ def _validate(cfg: RunConfig) -> None:
     for key in ("w", "delta", "max_recalls", "elite_count", "seed"):
         if getattr(cfg, key) < 0:
             raise ConfigError(key, "must be >= 0")
+    last_seed = cfg.seed + (cfg.oracle_sweep - 1 if cfg.subcommand == "oracle-check" else 0)
+    if last_seed >= 2**64:
+        raise ConfigError("seed", f"the last seed used, {last_seed}, must be below 2**64")
     if cfg.stagnation_tol < 0:
         raise ConfigError("stagnation_tol", "must be >= 0")
     if cfg.drop_weight <= 0:
         raise ConfigError("drop_weight", "must be positive")
     if cfg.overload_weight < 0:
         raise ConfigError("overload_weight", "must be >= 0")
-    if cfg.infeasible_row_penalty < 0:
-        raise ConfigError("infeasible_row_penalty", "must be >= 0")
     if cfg.elite_count >= cfg.population:
         raise ConfigError("elite_count", "must be smaller than population")
     if cfg.w > cfg.queue_depth:
@@ -249,7 +247,10 @@ def _emit(doc: dict[str, Any], cfg: RunConfig, csv_text: str | None = None) -> N
 def _load_jobs(cfg: RunConfig) -> list:
     if cfg.workload is None:
         raise ConfigError("workload", "this subcommand needs a workload file")
-    return load_workload(cfg.workload)
+    jobs = load_workload(cfg.workload)
+    if not jobs:
+        raise ConfigError("workload", f"{cfg.workload} holds no jobs")
+    return jobs
 
 
 def _make_problem(cfg: RunConfig, jobs, seed: int | None = None) -> SchedulingProblem:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import BudgetError
-from .scheduler_ga import SchedulerFitnessConfig, schedule_fitness
+from .scheduler_ga import SchedulerFitnessConfig, schedule_fitness, score
 from .schedule_matrix import ScheduleMatrix
 
 import numpy as np
@@ -87,8 +87,7 @@ def _assignment_fitness(
             drops += 1
         else:
             loads[col - 1] += 1
-    overloads = sum(1 for load in loads if load > cfg.overload.w)
-    return cfg.drop_weight * drops + cfg.overload_weight * overloads
+    return score(loads, drops, cfg)
 
 
 def brute_force_best(
@@ -109,8 +108,6 @@ def brute_force_best(
             count = 1
         elif value == best:
             count += 1
-    if best is None:  # job_count == 0 yields one empty assignment
-        raise ValueError("no assignments enumerated")
     recheck = schedule_fitness(assignment_to_matrix(witness, k), cfg)
     if recheck != best:
         raise AssertionError("witness fitness does not match the reported optimum")

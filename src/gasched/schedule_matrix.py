@@ -204,9 +204,7 @@ class OverloadConfig:
 
 
 def rebalance_crossover(
-    matrix: ScheduleMatrix,
-    cfg: OverloadConfig,
-    rng: random.Random | None = None,
+    matrix: ScheduleMatrix, cfg: OverloadConfig
 ) -> tuple[ScheduleMatrix, bool]:
     """Move queued jobs off overloaded machines until at most ``delta``
     machines exceed ``w``.
@@ -218,11 +216,7 @@ def rebalance_crossover(
     the rebalanced matrix and whether the ``delta`` target was reached
     (False means best effort: no remaining move could relieve a column
     above ``w``).
-
-    The policy is deterministic; ``rng`` is accepted for interface
-    symmetry with the other operators and is unused.
     """
-    del rng
     out = matrix.copy()
     loads = column_loads(out)
     while True:

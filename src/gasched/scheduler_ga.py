@@ -37,13 +37,12 @@ class SchedulerFitnessConfig:
     overload: OverloadConfig
     drop_weight: float = 100.0
     overload_weight: float = 1.0
-    infeasible_row_penalty: float = 10.0
 
     def __post_init__(self):
         if self.drop_weight <= 0:
             raise ValueError("drop_weight must be positive")
-        if self.overload_weight < 0 or self.infeasible_row_penalty < 0:
-            raise ValueError("weights must be non-negative")
+        if self.overload_weight < 0:
+            raise ValueError("overload_weight must be non-negative")
 
 
 @dataclass
@@ -66,20 +65,20 @@ class SchedulingProblem:
             raise ValueError("delta must not exceed the machine count k")
 
 
+def score(loads: Sequence[int], drops: int, cfg: SchedulerFitnessConfig) -> float:
+    """The objective: weighted count of dropped jobs and of machines whose
+    load exceeds ``w``; zero exactly when neither occurs."""
+    w = cfg.overload.w
+    overloads = 0
+    for load in loads:  # a plain loop: a generator here is measurably slower
+        if load > w:
+            overloads += 1
+    return cfg.drop_weight * drops + cfg.overload_weight * overloads
+
+
 def schedule_fitness(matrix: ScheduleMatrix, cfg: SchedulerFitnessConfig) -> float:
-    """Weighted count of dropped rows, overloaded machines, and row
-    constraint violations; zero exactly when none of the three occur."""
-    drops = len(matrix.dropped_rows())
-    loads = column_loads(matrix)
-    overloads = sum(1 for load in loads if load > cfg.overload.w)
-    violations = sum(
-        max(0, int(row.sum()) - 1) for row in (matrix.head, *matrix.body)
-    )
-    return (
-        cfg.drop_weight * drops
-        + cfg.overload_weight * overloads
-        + cfg.infeasible_row_penalty * violations
-    )
+    """:func:`score` of a matrix's column loads and dropped rows."""
+    return score(column_loads(matrix), len(matrix.dropped_rows()), cfg)
 
 
 def feasible(matrix: ScheduleMatrix, cfg: SchedulerFitnessConfig) -> bool:
@@ -100,9 +99,6 @@ def make_fitness(job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig):
     direct scan so population evaluation stays cheap.
     """
     length = job_count * k
-    a = cfg.drop_weight
-    b = cfg.overload_weight
-    w = cfg.overload.w
     cache: dict[tuple[int, ...], float] = {}
 
     def fitness(genome: Genome) -> float:
@@ -125,8 +121,7 @@ def make_fitness(job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig):
                         break
                 else:
                     drops += 1
-            overloads = sum(1 for load in loads if load > w)
-            value = a * drops + b * overloads
+            value = score(loads, drops, cfg)
             cache[bits] = value
         return value
 
@@ -180,7 +175,7 @@ def optimize_schedule(problem: SchedulingProblem) -> OptimizeResult:
     # final polish: spread overloaded queues, then requeue dropped jobs
     # into columns that still have physical room
     polish_rng = ga_core.stream(problem.ga_cfg.rng_seed, "polish")
-    polished, _ = rebalance_crossover(matrix, cfg.overload, polish_rng)
+    polished, _ = rebalance_crossover(matrix, cfg.overload)
     polished = mutate_dropped_rows(polished, polish_rng, max_load=m)
     polished_fitness = schedule_fitness(polished, cfg)
     if polished_fitness <= best.fitness:

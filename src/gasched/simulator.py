@@ -9,15 +9,14 @@ row; failed jobs reaching the head are recalled to the back of the
 queue until their recall budget runs out. Every ``rebalance_interval``
 ticks the mutation/rebalance operators tidy the queues.
 
-A job is always in exactly one place - pending, queued (labeled matrix
-row), in service, completed, or dropped - and the simulation checks that
+A job is always in exactly one place - queued (labeled matrix row), in
+service, completed, or dropped - and the simulation checks that
 conservation law after every tick.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, ConfigError, StateError
@@ -104,7 +103,6 @@ class SimState:
         self.matrix = ScheduleMatrix.empty(cfg.m, cfg.k)
         self.remaining = [0] * cfg.k
         self.in_service: list[int | None] = [None] * cfg.k
-        self.pending: deque[Job] = deque()
         self.service_time: dict[int, int] = {}
         self.recall_counts: dict[int, int] = {}
         self.arrived = 0
@@ -125,9 +123,7 @@ class SimState:
         return sum(1 for job in self.in_service if job is not None)
 
     def check_conservation(self) -> None:
-        accounted = (
-            len(self.pending) + self.queued() + self.serving() + self.completed + self.dropped
-        )
+        accounted = self.queued() + self.serving() + self.completed + self.dropped
         if accounted != self.arrived:
             raise StateError(
                 f"job conservation violated at tick {self.tick_count}: "
@@ -261,7 +257,7 @@ def tick(state: SimState, rng: random.Random) -> SimState:
     state.tick_count += 1
     if state.tick_count % cfg.rebalance_interval == 0:
         state.matrix = mutate_dropped_rows(state.matrix, rng)
-        state.matrix, _ = rebalance_crossover(state.matrix, cfg.overload, rng)
+        state.matrix, _ = rebalance_crossover(state.matrix, cfg.overload)
         if cfg.ga_rebalance:
             _ga_repack(state, rng)
 
@@ -290,10 +286,7 @@ def run_sim(config: SimConfig, workload: list[Job]) -> SimMetrics:
     tick_rng = stream(config.seed, "tick")
     state = SimState(config)
     for t in range(config.horizon):
-        state.pending.extend(by_tick.get(t, []))
-        arrivals = list(state.pending)
-        state.pending.clear()
-        dispatch(state, arrivals, dispatch_rng)
+        dispatch(state, by_tick.get(t, []), dispatch_rng)
         tick(state, tick_rng)
 
     return SimMetrics(
@@ -327,6 +320,8 @@ def load_workload(path: str) -> list[Job]:
                 raise ConfigError("workload", f"line {lineno}: fields must be unsigned integers")
             if min(job_id, arrival, service) < 0:
                 raise ConfigError("workload", f"line {lineno}: fields must be unsigned integers")
+            if service < 1:
+                raise ConfigError("workload", f"line {lineno}: service_time must be >= 1")
             jobs.append(Job(id=job_id, service_time=service, arrival=arrival))
     return jobs
 

@@ -168,12 +168,12 @@ def test_criterion_5_inverse_selection_and_rebalance():
             j + 1 for j in range(k) if loads[j] > w
         }
         before = sum(1 for x in loads if x > w)
-        balanced, _ = rebalance_crossover(matrix, cfg, rng)
+        balanced, _ = rebalance_crossover(matrix, cfg)
         after = sum(1 for x in column_loads(balanced) if x > w)
         ok = ok and int(balanced.body.sum()) == int(matrix.body.sum())
         ok = ok and after <= before
         if sum(loads) <= k * w:
-            zeroed, _ = rebalance_crossover(matrix, OverloadConfig(w=w, delta=0), rng)
+            zeroed, _ = rebalance_crossover(matrix, OverloadConfig(w=w, delta=0))
             ok = ok and sum(1 for x in column_loads(zeroed) if x > w) == 0
     report(5, "inverse selection exact; rebalance conserves jobs and clears overloads", ok, started)
 

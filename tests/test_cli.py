@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -77,6 +78,24 @@ def test_config_error_exits_two(tmp_path, capsys):
 def test_missing_workload_for_optimize_exits_two(capsys):
     assert main(["optimize"]) == 2
     assert "workload" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "jobs, argv, key",
+    [
+        ([(0, 0, 0)], ["simulate"], "workload"),
+        ([], ["optimize"], "workload"),
+        ([], ["oracle-check"], "workload"),
+        ([(0, 0, 1)], ["optimize", "--seed", str(2**64)], "seed"),
+        ([(0, 0, 1)], ["oracle-check", "--seed", str(2**64 - 1)], "seed"),
+    ],
+    ids=["zero-service-time", "empty-optimize", "empty-oracle-check",
+         "seed-above-64-bits", "sweep-above-64-bits"],
+)
+def test_bad_input_exits_two_naming_key(tmp_path, capsys, jobs, argv, key):
+    wl = write_workload(tmp_path, jobs)
+    assert main([*argv, "--workload", wl]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
 
 # ----------------------------------------------------------------- simulate
@@ -216,3 +235,47 @@ def test_oracle_check_mismatch_exits_one(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["match"] is False
     assert doc["ga_best"] > doc["oracle_optimum"]
+
+
+# ------------------------------------------------------------ golden output
+
+def _normalized(out):
+    """Stdout with the temporary workload path replaced by a placeholder,
+    re-emitted as the CLI writes it; a trailing CSV trace is kept as is."""
+    doc, end = json.JSONDecoder().raw_decode(out)
+    doc["config"]["workload"] = "<workload>"
+    return json.dumps(doc, sort_keys=True, indent=2) + out[end:]
+
+
+@pytest.mark.parametrize(
+    "jobs, argv, digest",
+    [
+        (
+            [(i, 0, 1 + i % 3) for i in range(7)],
+            ["optimize", "--machines", "3", "--queue-depth", "3", "--w", "2",
+             "--delta", "0", "--seed", "5"],
+            "ed304b19c691216b67971f7e4f263fb925971b85376a62a446fb14ef4d0ca9ca",
+        ),
+        (
+            [(i, i, 1 + i % 3) for i in range(16)],
+            ["simulate", "--machines", "3", "--queue-depth", "4", "--w", "1",
+             "--delta", "1", "--horizon", "40", "--send-failure-prob", "0.3",
+             "--rebalance-interval", "3", "--seed", "4", "--format", "both"],
+            "c37fbb51a2155278a344581864f399e8e28039195b3715aa0a661f326274f2be",
+        ),
+        (
+            [(i, 0, 1) for i in range(6)],
+            ["oracle-check", "--machines", "3", "--queue-depth", "2", "--w", "1",
+             "--delta", "1", "--seed", "2"],
+            "b58ce1781be6c202876037ac8ebd5662fa06ebc18cb8649e2cae1f1af074142f",
+        ),
+    ],
+    ids=["optimize", "simulate", "oracle-check"],
+)
+def test_stdout_matches_golden_digest(tmp_path, capsys, jobs, argv, digest):
+    # a changed digest means a changed output: the objective, an RNG draw
+    # order or the document layout moved
+    wl = write_workload(tmp_path, jobs)
+    assert main([*argv, "--workload", wl]) == 0
+    text = _normalized(capsys.readouterr().out)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -93,8 +93,8 @@ def test_fitness_recount_oracle(rng):
     cfg = fit_cfg(w=1)
     for _ in range(300):
         matrix = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 4), labeled=True)
-        drops, overloads, violations = count_stats(matrix, 1)
-        expected = 100.0 * drops + 1.0 * overloads + 10.0 * violations
+        drops, overloads, _ = count_stats(matrix, 1)
+        expected = 100.0 * drops + 1.0 * overloads
         assert schedule_fitness(matrix, cfg) == expected
 
 
@@ -206,6 +206,6 @@ def test_polish_never_increases_fitness(rng):
         matrix = repair_rows(random_matrix(rng, m_rows, k, labeled=True))
         before = schedule_fitness(matrix, cfg)
         polish_rng = random.Random(0)
-        out, _ = rebalance_crossover(matrix, cfg.overload, polish_rng)
+        out, _ = rebalance_crossover(matrix, cfg.overload)
         out = mutate_dropped_rows(out, polish_rng, max_load=m_rows)
         assert schedule_fitness(out, cfg) <= before
