@@ -1,14 +1,20 @@
-"""Exhaustive ground-truth solver for small static scheduling instances.
+"""Exact ground-truth solver for static scheduling instances.
 
-Enumerates every job -> machine-or-drop assignment that respects the
-per-machine queue depth, scoring each with the same objective the GA
-minimizes. Search is over assignments rather than raw bit matrices:
-within-column slot order never changes the score, so the smaller space
-is lossless.
+The objective depends only on each machine's load and on the drop count,
+and machines are interchangeable, so the solver scans sorted load vectors
+(each load at most the queue depth ``m``, summing to at most the job
+count) instead of job -> machine-or-drop assignments, and counts the
+assignments behind each vector with multinomials. That visits at most
+C(min(m, J) + k, k) vectors for J jobs on k machines, where the
+assignment space holds up to (k+1)^J maps.
+
+:func:`enumerate_assignments` still walks the assignment space itself;
+it is the independent reference that the tests check the solver against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -77,37 +83,63 @@ def assignment_to_matrix(
     )
 
 
-def _assignment_fitness(
-    assignment: Sequence[int | None], k: int, cfg: SchedulerFitnessConfig
-) -> float:
-    loads = [0] * k
-    drops = 0
-    for col in assignment:
-        if col is None:
-            drops += 1
-        else:
-            loads[col - 1] += 1
-    return score(loads, drops, cfg)
-
-
 def brute_force_best(
     job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig
 ) -> OracleResult:
-    """Scan the whole assignment space; returns the optimum, the first
-    witness reaching it, and how many assignments attain it."""
+    """Exact optimum over every capacity-respecting assignment, the first
+    witness reaching it in :func:`enumerate_assignments` order, and how
+    many assignments attain it."""
     if job_count == 0:
         return OracleResult(optimum=0.0, witness=(), count=1)
-    best: float | None = None
-    witness: tuple[int | None, ...] | None = None
-    count = 0
-    for assignment in enumerate_assignments(job_count, k, m):
-        value = _assignment_fitness(assignment, k, cfg)
-        if best is None or value < best:
-            best = value
-            witness = assignment
-            count = 1
-        elif value == best:
-            count += 1
+    if job_count < 0 or k < 1 or m < 0:
+        raise ValueError("need job_count >= 0, k >= 1, m >= 0")
+    top = min(m, job_count)
+    vectors = math.comb(top + k, k)
+    if vectors > ENUMERATION_BUDGET:
+        raise BudgetError(
+            f"C(min(m, jobs) + k, k) = {vectors} load vectors exceed the "
+            f"{ENUMERATION_BUDGET} budget"
+        )
+    fact = [math.factorial(n) for n in range(job_count + 1)]
+    numerator = math.factorial(k) * fact[job_count]
+    best = math.inf
+    best_loads: list[int] = []
+    best_drops = count = 0
+    # Non-increasing load vectors, lexicographically largest first. The
+    # enumerator tries machines 1..k before the drop slot, so its first
+    # optimal assignment is this scan's first optimal vector spelled out:
+    # machine 1's jobs, then machine 2's, ..., then the drops.
+    loads = [0] * k
+    drops = job_count
+    idx = 0
+    while True:
+        for i in range(idx, k):
+            loads[i] = min(loads[i - 1] if i else top, drops)
+            drops -= loads[i]
+        value = score(loads, drops, cfg)
+        if value < best:
+            best, best_loads, best_drops, count = value, list(loads), drops, 0
+        if value == best:
+            # k! / prod(multiplicity!) machine orders of this vector, each
+            # reached by J! / (prod(load!) * drops!) assignments
+            denominator = fact[drops]
+            run = 0
+            for i, load in enumerate(loads):
+                run = run + 1 if i and load == loads[i - 1] else 1
+                denominator *= fact[load] * run
+            count += numerator // denominator
+        idx = k - 1
+        while idx >= 0 and loads[idx] == 0:
+            idx -= 1
+        if idx < 0:
+            break
+        # the suffix after idx is all zero: lower loads[idx], refill greedily
+        loads[idx] -= 1
+        drops += 1
+        idx += 1
+    witness = tuple(
+        col for col, load in enumerate(best_loads, start=1) for _ in range(load)
+    ) + (DROP,) * best_drops
     recheck = schedule_fitness(assignment_to_matrix(witness, k), cfg)
     if recheck != best:
         raise AssertionError("witness fitness does not match the reported optimum")

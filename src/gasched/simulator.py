@@ -306,6 +306,7 @@ def load_workload(path: str) -> list[Job]:
     """Parse a workload file: one "id arrival service_time" triple per
     line, '#' lines are comments."""
     jobs = []
+    first_line: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -322,6 +323,11 @@ def load_workload(path: str) -> list[Job]:
                 raise ConfigError("workload", f"line {lineno}: fields must be unsigned integers")
             if service < 1:
                 raise ConfigError("workload", f"line {lineno}: service_time must be >= 1")
+            if job_id in first_line:
+                raise ConfigError(
+                    "workload", f"line {lineno}: job id {job_id} repeats line {first_line[job_id]}"
+                )
+            first_line[job_id] = lineno
             jobs.append(Job(id=job_id, service_time=service, arrival=arrival))
     return jobs
 

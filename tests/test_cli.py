@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -88,9 +89,12 @@ def test_missing_workload_for_optimize_exits_two(capsys):
         ([], ["oracle-check"], "workload"),
         ([(0, 0, 1)], ["optimize", "--seed", str(2**64)], "seed"),
         ([(0, 0, 1)], ["oracle-check", "--seed", str(2**64 - 1)], "seed"),
+        ([(0, 0, 1), (1, 0, 1), (0, 1, 1)], ["optimize"], "workload"),
+        ([(0, 0, 1), (1, 0, 1), (0, 1, 1)], ["oracle-check"], "workload"),
     ],
     ids=["zero-service-time", "empty-optimize", "empty-oracle-check",
-         "seed-above-64-bits", "sweep-above-64-bits"],
+         "seed-above-64-bits", "sweep-above-64-bits",
+         "duplicate-id-optimize", "duplicate-id-oracle-check"],
 )
 def test_bad_input_exits_two_naming_key(tmp_path, capsys, jobs, argv, key):
     wl = write_workload(tmp_path, jobs)
@@ -235,6 +239,36 @@ def test_oracle_check_mismatch_exits_one(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["match"] is False
     assert doc["ga_best"] > doc["oracle_optimum"]
+
+
+def test_oracle_check_solves_beyond_assignment_budget(tmp_path):
+    # 4^30 assignments; the optimum is the closed form
+    # drop_weight*max(0, J-k*m) + overload_weight*ceil(max(0, S-k*w)/(m-w))
+    # with S = min(J, k*m) placed jobs
+    jobs, k, m, w = 30, 3, 3, 2
+    wl = write_workload(tmp_path, [(i, 0, 1) for i in range(jobs)])
+    cfg_path = write_config(tmp_path, {"oracle_sweep": 1, "generations": 20})
+    out = tmp_path / "oc.json"
+    code = main([
+        "oracle-check", "--config", cfg_path, "--workload", wl,
+        "--machines", str(k), "--queue-depth", str(m), "--w", str(w),
+        "--delta", "0", "--out", str(out),
+    ])
+    assert code in (0, 1)
+    placed = min(jobs, k * m)
+    expected = 100.0 * max(0, jobs - k * m) + 1.0 * math.ceil(max(0, placed - k * w) / (m - w))
+    assert json.loads(out.read_text())["oracle_optimum"] == expected == 2103.0
+
+
+def test_oracle_check_over_budget_exits_two(tmp_path, capsys):
+    # C(16 + 16, 16) load vectors exceed the oracle budget
+    wl = write_workload(tmp_path, [(i, 0, 1) for i in range(40)])
+    code = main([
+        "oracle-check", "--workload", wl, "--machines", "16",
+        "--queue-depth", "16", "--w", "2", "--delta", "1",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error")
 
 
 # ------------------------------------------------------------ golden output

@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import pytest
 
 from gasched import (
+    OracleResult,
     OverloadConfig,
     SchedulerFitnessConfig,
     brute_force_best,
@@ -10,11 +12,40 @@ from gasched import (
     schedule_fitness,
 )
 from gasched.errors import BudgetError
-from gasched.oracle import assignment_to_matrix, _assignment_fitness
+from gasched.oracle import assignment_to_matrix
+from gasched.scheduler_ga import score
 
 
 def fit_cfg(w=2, delta=0):
     return SchedulerFitnessConfig(overload=OverloadConfig(w=w, delta=delta))
+
+
+# ------------------------------------------------------- reference scan
+# The assignment-by-assignment search that brute_force_best replaced: an
+# independent method to check the load-vector scan against on small sizes.
+
+def _assignment_fitness(assignment, k, cfg):
+    loads = [0] * k
+    drops = 0
+    for col in assignment:
+        if col is None:
+            drops += 1
+        else:
+            loads[col - 1] += 1
+    return score(loads, drops, cfg)
+
+
+def _reference_best(job_count, k, m, cfg):
+    """First optimum in enumeration order and how many assignments reach it."""
+    best = witness = None
+    count = 0
+    for assignment in enumerate_assignments(job_count, k, m):
+        value = _assignment_fitness(assignment, k, cfg)
+        if best is None or value < best:
+            best, witness, count = value, assignment, 1
+        elif value == best:
+            count += 1
+    return OracleResult(optimum=best, witness=witness, count=count)
 
 
 # --------------------------------------------------------------- enumeration
@@ -109,3 +140,31 @@ def test_assignment_fitness_agrees_with_matrix_route():
         direct = _assignment_fitness(assignment, 2, cfg)
         via_matrix = schedule_fitness(assignment_to_matrix(assignment, 2), cfg)
         assert direct == via_matrix
+
+
+# ------------------------------------------------- load-vector scan vs reference
+
+def test_brute_force_matches_assignment_scan():
+    for job_count, k, m in itertools.product(range(1, 8), range(1, 4), range(1, 4)):
+        for w in range(m + 1):
+            for drop_weight, overload_weight in ((100.0, 1.0), (100.0, 150.0), (0.5, 1.0)):
+                cfg = SchedulerFitnessConfig(
+                    overload=OverloadConfig(w=w, delta=0),
+                    drop_weight=drop_weight,
+                    overload_weight=overload_weight,
+                )
+                got = brute_force_best(job_count, k, m, cfg)
+                assert got == _reference_best(job_count, k, m, cfg), (job_count, k, m, w, cfg)
+
+
+def test_brute_force_is_exact_far_beyond_assignment_budget():
+    # 7^60 assignments; 12 jobs cannot be placed and nothing overloads
+    result = brute_force_best(60, 6, 8, fit_cfg(w=8))
+    assert result.optimum == 1200.0
+    assert result.count == math.factorial(60) // (
+        math.factorial(12) * math.factorial(8) ** 6
+    )
+    assert result.witness == tuple(
+        col for col in range(1, 7) for _ in range(8)
+    ) + (None,) * 12
+
