@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 GA-vs-oracle mismatch, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -170,7 +171,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("format", "must be one of json, csv, both")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared by every call."""
     parser = argparse.ArgumentParser(prog="gasched", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:

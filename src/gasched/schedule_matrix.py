@@ -8,9 +8,14 @@ is queued at this machine"; a labeled all-zero body row is a job whose
 send failed (a dropped job awaiting recall or repair).
 
 Machine indices are 1-based on the public surface, matching the column
-numbering; internals are 0-based numpy arrays. All operators are pure:
-they return a new matrix and leave their input untouched, so values may
-be shared freely across threads.
+numbering; internals are 0-based numpy arrays. The public operators are
+pure: they return a new matrix and leave their input untouched, so values
+may be shared freely across threads. Each queue operator (``shift_up``,
+``complete_heads``, ``recall_job``, ``mutate_dropped_rows``,
+``rebalance_crossover``) is a thin wrapper that copies its input and runs
+the operator's in-place core (``_shift_up_inplace`` and so on) on the
+copy. A single owner of a matrix, such as the simulator's run state,
+calls the cores directly and so builds no new matrix per step.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ class ScheduleMatrix:
             raise DimensionError(f"head row must have shape ({self.k},)")
         if self.body.shape != (self.m, self.k):
             raise DimensionError(f"body must have shape ({self.m}, {self.k})")
-        if not np.isin(self.head, (0, 1)).all() or not np.isin(self.body, (0, 1)).all():
+        # as uint8, every int8 value other than 0 and 1 (negatives included) is > 1
+        if (self.head.view(np.uint8) > 1).any() or (self.body.view(np.uint8) > 1).any():
             raise ValueError("matrix entries must be 0 or 1")
         if len(self.labels) != self.m + 1:
             raise DimensionError("labels must hold one entry per row (m + 1 total)")
@@ -78,12 +84,9 @@ class ScheduleMatrix:
         return [i for i in range(self.m) if self.labels[i + 1] is None]
 
     def dropped_rows(self) -> list[int]:
-        """0-based body rows holding a job whose row is all zero."""
-        return [
-            i
-            for i in range(self.m)
-            if self.labels[i + 1] is not None and not self.body[i].any()
-        ]
+        """0-based body rows holding a job whose row is all zero, ascending."""
+        empty = np.flatnonzero(~self.body.any(axis=1)).tolist()
+        return [i for i in empty if self.labels[i + 1] is not None]
 
 
 def shift_up(matrix: ScheduleMatrix) -> ScheduleMatrix:
@@ -94,14 +97,19 @@ def shift_up(matrix: ScheduleMatrix) -> ScheduleMatrix:
     The head must be fully cleared first (bits and label), since its
     content would otherwise be silently destroyed.
     """
+    out = matrix.copy()
+    _shift_up_inplace(out)
+    return out
+
+
+def _shift_up_inplace(matrix: ScheduleMatrix) -> None:
     if matrix.head.any() or matrix.labels[0] is not None:
         raise StateError("head row must be cleared (complete/recall) before shifting")
-    head = matrix.body[0].copy()
-    body = np.zeros_like(matrix.body)
-    if matrix.m > 1:
-        body[:-1] = matrix.body[1:]
-    labels = list(matrix.labels[1:]) + [None]
-    return ScheduleMatrix(matrix.m, matrix.k, head, body, labels)
+    matrix.head[:] = matrix.body[0]
+    matrix.body[:-1] = matrix.body[1:]
+    matrix.body[-1] = 0
+    del matrix.labels[0]
+    matrix.labels.append(None)
 
 
 def complete_heads(
@@ -114,17 +122,22 @@ def complete_heads(
     reported for recall. Either way the head row ends empty.
     """
     out = matrix.copy()
+    completed, to_recall = _complete_heads_inplace(out)
+    return out, completed, to_recall
+
+
+def _complete_heads_inplace(matrix: ScheduleMatrix) -> tuple[list[JobId], list[JobId]]:
     completed: list[JobId] = []
     to_recall: list[JobId] = []
-    job = out.labels[0]
+    job = matrix.labels[0]
     if job is not None:
-        if out.head.any():
+        if matrix.head.any():
             completed.append(job)
         else:
             to_recall.append(job)
-        out.labels[0] = None
-    out.head[:] = 0
-    return out, completed, to_recall
+        matrix.labels[0] = None
+    matrix.head[:] = 0
+    return completed, to_recall
 
 
 def column_load(matrix: ScheduleMatrix, j: int) -> int:
@@ -136,7 +149,7 @@ def column_load(matrix: ScheduleMatrix, j: int) -> int:
 
 def column_loads(matrix: ScheduleMatrix) -> list[int]:
     """Per-machine body loads, index 0 = machine 1."""
-    return [int(x) for x in matrix.body.sum(axis=0)]
+    return matrix.body.sum(axis=0).tolist()
 
 
 def recall_job(
@@ -151,9 +164,19 @@ def recall_job(
     index); pass ``uniform=True`` with an rng for the stochastic variant
     used during search.
     """
+    out = matrix.copy()
+    _recall_job_inplace(out, job, rng, uniform)
+    return out
+
+
+def _recall_job_inplace(
+    matrix: ScheduleMatrix,
+    job: JobId,
+    rng: random.Random | None = None,
+    uniform: bool = False,
+) -> None:
     if matrix.labels[matrix.m] is not None:
         raise CapacityError("last queue row is occupied; job cannot be recalled now")
-    out = matrix.copy()
     if uniform:
         if rng is None:
             raise ValueError("uniform placement requires an rng")
@@ -161,10 +184,9 @@ def recall_job(
     else:
         loads = column_loads(matrix)
         col = loads.index(min(loads))
-    out.body[matrix.m - 1, :] = 0
-    out.body[matrix.m - 1, col] = 1
-    out.labels[matrix.m] = job
-    return out
+    matrix.body[matrix.m - 1, :] = 0
+    matrix.body[matrix.m - 1, col] = 1
+    matrix.labels[matrix.m] = job
 
 
 def repair_rows(matrix: ScheduleMatrix) -> ScheduleMatrix:
@@ -218,19 +240,23 @@ def rebalance_crossover(
     above ``w``).
     """
     out = matrix.copy()
-    loads = column_loads(out)
+    return out, _rebalance_crossover_inplace(out, cfg)
+
+
+def _rebalance_crossover_inplace(matrix: ScheduleMatrix, cfg: OverloadConfig) -> bool:
+    loads = column_loads(matrix)
     while True:
-        over = [j for j in range(out.k) if loads[j] > cfg.w]
+        over = [j for j in range(matrix.k) if loads[j] > cfg.w]
         if len(over) <= cfg.delta:
-            return out, True
-        targets = [j for j in range(out.k) if loads[j] < cfg.w]
+            return True
+        targets = [j for j in range(matrix.k) if loads[j] < cfg.w]
         if not targets:
-            return out, False
+            return False
         src = min(over, key=lambda j: (-loads[j], j))
         tgt = min(targets, key=lambda j: (loads[j], j))
-        row = int(np.nonzero(out.body[:, src])[0][-1])
-        out.body[row, src] = 0
-        out.body[row, tgt] = 1
+        row = int(np.nonzero(matrix.body[:, src])[0][-1])
+        matrix.body[row, src] = 0
+        matrix.body[row, tgt] = 1
         loads[src] -= 1
         loads[tgt] += 1
 
@@ -248,18 +274,26 @@ def mutate_dropped_rows(
     that capacity-aware mode keeps physical queue depths honest.
     """
     out = matrix.copy()
-    loads = column_loads(out)
-    for i in out.dropped_rows():
+    _mutate_dropped_rows_inplace(out, rng, max_load)
+    return out
+
+
+def _mutate_dropped_rows_inplace(
+    matrix: ScheduleMatrix,
+    rng: random.Random,
+    max_load: int | None = None,
+) -> None:
+    loads = column_loads(matrix)
+    for i in matrix.dropped_rows():
         if max_load is None:
-            col = rng.randrange(out.k)
+            col = rng.randrange(matrix.k)
         else:
-            candidates = [j for j in range(out.k) if loads[j] < max_load]
+            candidates = [j for j in range(matrix.k) if loads[j] < max_load]
             if not candidates:
                 continue
             col = min(candidates, key=lambda j: (loads[j], j))
-        out.body[i, col] = 1
+        matrix.body[i, col] = 1
         loads[col] += 1
-    return out
 
 
 def repair_column_capacity(matrix: ScheduleMatrix, max_load: int) -> ScheduleMatrix:

@@ -9,6 +9,12 @@ row; failed jobs reaching the head are recalled to the back of the
 queue until their recall budget runs out. Every ``rebalance_interval``
 ticks the mutation/rebalance operators tidy the queues.
 
+The run state owns its matrix, so ``dispatch`` and ``tick`` edit it in
+place through the in-place cores of the queue operators: after
+``SimState`` builds the empty matrix, a run constructs no further
+``ScheduleMatrix`` (the optional ``ga_rebalance`` repack aside, whose GA
+decodes matrices of its own).
+
 A job is always in exactly one place - queued (labeled matrix row), in
 service, completed, or dropped - and the simulation checks that
 conservation law after every tick.
@@ -24,12 +30,12 @@ from .ga_core import GaConfig, stream
 from .schedule_matrix import (
     OverloadConfig,
     ScheduleMatrix,
+    _complete_heads_inplace,
+    _mutate_dropped_rows_inplace,
+    _rebalance_crossover_inplace,
+    _recall_job_inplace,
+    _shift_up_inplace,
     column_loads,
-    complete_heads,
-    mutate_dropped_rows,
-    rebalance_crossover,
-    recall_job,
-    shift_up,
 )
 
 
@@ -117,10 +123,11 @@ class SimState:
         self.trace: list[tuple[int, int, int, float]] = []
 
     def queued(self) -> int:
-        return sum(1 for lab in self.matrix.labels if lab is not None)
+        labels = self.matrix.labels
+        return len(labels) - labels.count(None)
 
     def serving(self) -> int:
-        return sum(1 for job in self.in_service if job is not None)
+        return len(self.in_service) - self.in_service.count(None)
 
     def check_conservation(self) -> None:
         accounted = self.queued() + self.serving() + self.completed + self.dropped
@@ -142,22 +149,26 @@ def dispatch(state: SimState, arrivals: list[Job], rng: random.Random) -> SimSta
     """
     q = state.cfg.send_failure_prob
     matrix = state.matrix
+    labels = matrix.labels
+    # label index of the deepest row that may still be free; rows only
+    # fill during a dispatch, so the scan from the end never goes back down
+    slot = matrix.m
     for job in arrivals:
         state.arrived += 1
         state.service_time[job.id] = job.service_time
         failed = rng.random() < q
         if failed:
             state.send_failures += 1
-        free = [i for i in range(matrix.m) if matrix.labels[i + 1] is None]
-        if not free:
+        while slot > 0 and labels[slot] is not None:
+            slot -= 1
+        if slot == 0:
             state.dropped += 1
             continue
-        row = max(free)
-        matrix.labels[row + 1] = job.id
+        labels[slot] = job.id
         if not failed:
             loads = column_loads(matrix)
             col = loads.index(min(loads))
-            matrix.body[row, col] = 1
+            matrix.body[slot - 1, col] = 1
     return state
 
 
@@ -168,7 +179,7 @@ def _process_recalls(state: SimState, to_recall: list[int]) -> None:
             state.dropped += 1
             continue
         try:
-            state.matrix = recall_job(state.matrix, job)
+            _recall_job_inplace(state.matrix, job)
         except CapacityError:
             state.dropped += 1
         else:
@@ -216,6 +227,7 @@ def tick(state: SimState, rng: random.Random) -> SimState:
     mutation + rebalance pass and bookkeeping.
     """
     cfg = state.cfg
+    matrix = state.matrix
 
     finishers = []
     for j in range(cfg.k):
@@ -225,43 +237,43 @@ def tick(state: SimState, rng: random.Random) -> SimState:
                 finishers.append(j)
 
     # a failed job shifted into the head last tick is recalled now
-    if state.matrix.labels[0] is not None and not state.matrix.head.any():
-        state.matrix, _, to_recall = complete_heads(state.matrix)
+    if matrix.labels[0] is not None and not matrix.head.any():
+        _, to_recall = _complete_heads_inplace(matrix)
         _process_recalls(state, to_recall)
 
     # each finished machine retires its job through the head row
     for j in finishers:
         job = state.in_service[j]
         state.in_service[j] = None
-        state.matrix.labels[0] = job
-        state.matrix.head[j] = 1
-        state.matrix, done, _ = complete_heads(state.matrix)
+        matrix.labels[0] = job
+        matrix.head[j] = 1
+        done, _ = _complete_heads_inplace(matrix)
         state.completed += len(done)
 
     # advance the queues unless the next job's machine is still busy
-    if state.matrix.labels[0] is None and not state.matrix.head.any():
+    if matrix.labels[0] is None and not matrix.head.any():
         blocked = False
-        if state.matrix.labels[1] is not None and state.matrix.body[0].any():
-            machine = int(state.matrix.body[0].argmax())
+        if matrix.labels[1] is not None and matrix.body[0].any():
+            machine = int(matrix.body[0].argmax())
             blocked = state.remaining[machine] > 0
         if not blocked:
-            state.matrix = shift_up(state.matrix)
-            job = state.matrix.labels[0]
-            if job is not None and state.matrix.head.any():
-                machine = int(state.matrix.head.argmax())
-                state.matrix.head[:] = 0
-                state.matrix.labels[0] = None
+            _shift_up_inplace(matrix)
+            job = matrix.labels[0]
+            if job is not None and matrix.head.any():
+                machine = int(matrix.head.argmax())
+                matrix.head[:] = 0
+                matrix.labels[0] = None
                 state.in_service[machine] = job
                 state.remaining[machine] = state.service_time[job]
 
     state.tick_count += 1
     if state.tick_count % cfg.rebalance_interval == 0:
-        state.matrix = mutate_dropped_rows(state.matrix, rng)
-        state.matrix, _ = rebalance_crossover(state.matrix, cfg.overload)
+        _mutate_dropped_rows_inplace(matrix, rng)
+        _rebalance_crossover_inplace(matrix, cfg.overload)
         if cfg.ga_rebalance:
             _ga_repack(state, rng)
 
-    loads = column_loads(state.matrix)
+    loads = column_loads(matrix)
     mean_load = sum(loads) / cfg.k
     state.load_sum += mean_load
     state.max_load = max(state.max_load, max(loads))

@@ -26,6 +26,13 @@ from gasched import (
     to_text,
 )
 from gasched.errors import CapacityError, DimensionError, StateError
+from gasched.schedule_matrix import (
+    _complete_heads_inplace,
+    _mutate_dropped_rows_inplace,
+    _rebalance_crossover_inplace,
+    _recall_job_inplace,
+    _shift_up_inplace,
+)
 
 from conftest import random_matrix
 
@@ -46,6 +53,76 @@ def matrix_from_body(body, labels=None, head=None):
     if labels is None:
         labels = [None] * (m + 1)
     return ScheduleMatrix(m, k, np.array(head, dtype=np.int8), body, labels)
+
+
+# ------------------------------------------------------------ construction
+
+@pytest.mark.parametrize("value", [-1, 2, 127])
+@pytest.mark.parametrize("where", ["head", "body"])
+def test_construction_rejects_entries_other_than_zero_and_one(value, where):
+    head = np.zeros(3, dtype=np.int8)
+    body = np.zeros((2, 3), dtype=np.int8)
+    if where == "head":
+        head[1] = value
+    else:
+        body[1, 2] = value
+    with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+        ScheduleMatrix(2, 3, head, body, [None] * 3)
+
+
+# ------------------------------------------- pure wrappers over in-place cores
+# Each case readies a random matrix for one operator and returns the pure
+# wrapper, its in-place core, and a maker of fresh extra arguments (a new
+# rng with the same seed each call, so both sides draw the same numbers).
+
+def _shift_case(rng, matrix):
+    matrix.head[:] = 0
+    matrix.labels[0] = None
+    return shift_up, _shift_up_inplace, lambda: ()
+
+
+def _complete_case(rng, matrix):
+    return complete_heads, _complete_heads_inplace, lambda: ()
+
+
+def _recall_case(rng, matrix):
+    matrix.body[-1] = 0
+    matrix.labels[-1] = None
+    uniform = rng.random() < 0.5
+    seed = rng.getrandbits(32)
+    return recall_job, _recall_job_inplace, lambda: (999, random.Random(seed), uniform)
+
+
+def _mutate_case(rng, matrix):
+    max_load = rng.choice([None, 1, 2])
+    seed = rng.getrandbits(32)
+    return mutate_dropped_rows, _mutate_dropped_rows_inplace, lambda: (random.Random(seed), max_load)
+
+
+def _rebalance_case(rng, matrix):
+    cfg = OverloadConfig(w=rng.randint(0, matrix.m), delta=rng.randint(0, matrix.k))
+    return rebalance_crossover, _rebalance_crossover_inplace, lambda: (cfg,)
+
+
+@pytest.mark.parametrize("case", [_shift_case, _complete_case, _recall_case,
+                                  _mutate_case, _rebalance_case])
+def test_pure_wrapper_equals_core_on_a_copy_and_keeps_input(case, rng):
+    for _ in range(200):
+        matrix = repair_rows(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 5),
+                                           labeled=True))
+        pure, core, make_args = case(rng, matrix)
+        before = matrix.copy()
+        result = pure(matrix, *make_args())
+        assert matrix == before
+        out = matrix.copy()
+        extras = core(out, *make_args())
+        got, got_extras = (result[0], result[1:]) if isinstance(result, tuple) else (result, ())
+        if extras is None:
+            extras = ()
+        elif not isinstance(extras, tuple):
+            extras = (extras,)
+        assert got is not matrix
+        assert got == out and got_extras == extras
 
 
 # ---------------------------------------------------------------- shift_up

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,17 +6,25 @@ import pytest
 from gasched import (
     Job,
     OverloadConfig,
+    ScheduleMatrix,
     SimConfig,
+    SimMetrics,
     column_loads,
+    complete_heads,
     dispatch,
     load_workload,
+    mutate_dropped_rows,
+    rebalance_crossover,
+    recall_job,
     run_sim,
     save_workload,
+    shift_up,
     tick,
     trace_csv,
 )
-from gasched.errors import ConfigError
-from gasched.simulator import SimState
+from gasched.errors import CapacityError, ConfigError, StateError
+from gasched.ga_core import stream
+from gasched.simulator import SimState, _ga_repack
 
 
 def sim_cfg(**kwargs):
@@ -26,6 +35,129 @@ def sim_cfg(**kwargs):
 
 def paced_jobs(count, service=1, spacing=1):
     return [Job(i, service, i * spacing) for i in range(count)]
+
+
+# --------------------------------------------------------- reference loop
+# The simulator loop as it was written over the pure operators, rebuilding
+# the matrix on every operator call: an independent statement of the
+# dynamics that run_sim, which edits one matrix in place, must reproduce.
+
+def _reference_dispatch(state, arrivals, rng):
+    q = state.cfg.send_failure_prob
+    matrix = state.matrix
+    for job in arrivals:
+        state.arrived += 1
+        state.service_time[job.id] = job.service_time
+        failed = rng.random() < q
+        if failed:
+            state.send_failures += 1
+        free = [i for i in range(matrix.m) if matrix.labels[i + 1] is None]
+        if not free:
+            state.dropped += 1
+            continue
+        row = max(free)
+        matrix.labels[row + 1] = job.id
+        if not failed:
+            loads = column_loads(matrix)
+            col = loads.index(min(loads))
+            matrix.body[row, col] = 1
+
+
+def _reference_recalls(state, to_recall):
+    for job in to_recall:
+        used = state.recall_counts.get(job, 0)
+        if used >= state.cfg.max_recalls:
+            state.dropped += 1
+            continue
+        try:
+            state.matrix = recall_job(state.matrix, job)
+        except CapacityError:
+            state.dropped += 1
+        else:
+            state.recall_counts[job] = used + 1
+            state.recalled += 1
+
+
+def _reference_tick(state, rng):
+    cfg = state.cfg
+    finishers = []
+    for j in range(cfg.k):
+        if state.remaining[j] > 0:
+            state.remaining[j] -= 1
+            if state.remaining[j] == 0:
+                finishers.append(j)
+    if state.matrix.labels[0] is not None and not state.matrix.head.any():
+        state.matrix, _, to_recall = complete_heads(state.matrix)
+        _reference_recalls(state, to_recall)
+    for j in finishers:
+        job = state.in_service[j]
+        state.in_service[j] = None
+        state.matrix.labels[0] = job
+        state.matrix.head[j] = 1
+        state.matrix, done, _ = complete_heads(state.matrix)
+        state.completed += len(done)
+    if state.matrix.labels[0] is None and not state.matrix.head.any():
+        blocked = False
+        if state.matrix.labels[1] is not None and state.matrix.body[0].any():
+            machine = int(state.matrix.body[0].argmax())
+            blocked = state.remaining[machine] > 0
+        if not blocked:
+            state.matrix = shift_up(state.matrix)
+            job = state.matrix.labels[0]
+            if job is not None and state.matrix.head.any():
+                machine = int(state.matrix.head.argmax())
+                state.matrix.head[:] = 0
+                state.matrix.labels[0] = None
+                state.in_service[machine] = job
+                state.remaining[machine] = state.service_time[job]
+    state.tick_count += 1
+    if state.tick_count % cfg.rebalance_interval == 0:
+        state.matrix = mutate_dropped_rows(state.matrix, rng)
+        state.matrix, _ = rebalance_crossover(state.matrix, cfg.overload)
+        if cfg.ga_rebalance:
+            _ga_repack(state, rng)
+    loads = column_loads(state.matrix)
+    mean_load = sum(loads) / cfg.k
+    state.load_sum += mean_load
+    state.max_load = max(state.max_load, max(loads))
+    state.overload_ticks += sum(1 for load in loads if load > cfg.overload.w)
+    state.trace.append((state.tick_count, state.completed, state.dropped, mean_load))
+    queued = sum(1 for lab in state.matrix.labels if lab is not None)
+    serving = sum(1 for job in state.in_service if job is not None)
+    assert queued + serving + state.completed + state.dropped == state.arrived
+
+
+def _reference_run_sim(config, workload):
+    by_tick = {}
+    for job in workload:
+        by_tick.setdefault(job.arrival, []).append(job)
+    dispatch_rng = stream(config.seed, "dispatch")
+    tick_rng = stream(config.seed, "tick")
+    state = SimState(config)
+    for t in range(config.horizon):
+        _reference_dispatch(state, by_tick.get(t, []), dispatch_rng)
+        _reference_tick(state, tick_rng)
+    return SimMetrics(
+        completed=state.completed,
+        dropped=state.dropped,
+        recalls=state.recalled,
+        send_failures=state.send_failures,
+        mean_load=state.load_sum / config.horizon,
+        max_load=state.max_load,
+        overload_ticks=state.overload_ticks,
+        ga_history=state.ga_history,
+        trace=state.trace,
+    )
+
+
+def bursty_jobs(seed, horizon):
+    """Random arrivals (1.4 a tick on average) with service times 1-3."""
+    rng = random.Random(seed)
+    jobs = []
+    for t in range(horizon):
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            jobs.append(Job(len(jobs), rng.randint(1, 3), t))
+    return jobs
 
 
 # ------------------------------------------------------------------ dispatch
@@ -189,6 +321,51 @@ def test_ga_rebalance_mode_records_history():
     metrics = run_sim(cfg, jobs)
     assert metrics.ga_history  # at least one GA pass ran
     assert all(isinstance(h, list) and h for h in metrics.ga_history)
+
+
+@pytest.mark.parametrize("k,m", list(itertools.product((1, 3, 16), (1, 6, 256))))
+def test_run_sim_matches_reference_loop(k, m):
+    horizon = m + 100  # long enough for a job entering the deepest row to reach the head
+    jobs = bursty_jobs(k * 1000 + m, horizon)
+    for q, interval, max_recalls in itertools.product((0.0, 0.2, 1.0), (1, 10), (0, 3)):
+        cfg = sim_cfg(k=k, m=m, send_failure_prob=q, horizon=horizon,
+                      rebalance_interval=interval, max_recalls=max_recalls,
+                      seed=k + m + interval, overload=OverloadConfig(w=m // k, delta=0))
+        assert run_sim(cfg, jobs) == _reference_run_sim(cfg, jobs), (q, interval, max_recalls)
+
+
+def test_run_sim_matches_reference_loop_with_ga_rebalance():
+    jobs = bursty_jobs(3, 40)
+    cfg = sim_cfg(k=2, m=6, send_failure_prob=0.4, horizon=40, seed=5,
+                  rebalance_interval=5, ga_rebalance=True,
+                  overload=OverloadConfig(w=2, delta=0))
+    metrics = run_sim(cfg, jobs)
+    assert metrics.ga_history
+    assert metrics == _reference_run_sim(cfg, jobs)
+
+
+def test_run_sim_builds_one_matrix_per_run(monkeypatch):
+    built = []
+    original = ScheduleMatrix.__post_init__
+
+    def counting(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(ScheduleMatrix, "__post_init__", counting)
+    cfg = sim_cfg(k=3, m=6, send_failure_prob=0.3, horizon=200, seed=1,
+                  rebalance_interval=1, max_recalls=2, overload=OverloadConfig(w=2, delta=0))
+    metrics = run_sim(cfg, bursty_jobs(1, 200))
+    assert metrics.recalls > 0 and metrics.dropped > 0 and metrics.completed > 0
+    assert len(built) == 1  # the empty matrix of SimState; every tick edits it in place
+
+
+def test_conservation_audit_raises_on_lost_job():
+    state = SimState(sim_cfg(k=2, m=4))
+    dispatch(state, [Job(0, 1, 0), Job(1, 1, 0)], random.Random(0))
+    state.matrix.labels[state.matrix.labels.index(0)] = None  # a job vanishes
+    with pytest.raises(StateError):
+        tick(state, random.Random(0))
 
 
 def test_run_sim_rejects_late_arrivals():
