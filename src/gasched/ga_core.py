@@ -4,6 +4,14 @@ Fitness is minimized everywhere. All stochastic operators draw from
 ``random.Random`` instances; :func:`run` derives one stream per concern
 from the root seed (tagged string seeding), so a given ``(config, seed,
 fitness)`` triple always reproduces the same output on any platform.
+
+A :class:`Genome` is stored as one Python ``int`` bit mask plus its
+length: bit ``i`` of the mask is position ``i`` of the genome (for a
+flattened job x machine body, position ``r*k + j``). Bits are validated
+once, at the boundary, when a caller builds ``Genome(bits)``; the
+operators here (:func:`random_genome`, :func:`crossover`, :func:`mutate`)
+produce genomes from masks through the trusted ``Genome._from_mask`` and
+work with integer operations instead of per-bit tuples.
 """
 
 from __future__ import annotations
@@ -16,35 +24,69 @@ from typing import Callable, Iterable, NamedTuple
 from .errors import DimensionError, StateError
 
 FitnessFunction = Callable[["Genome"], float]
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Genome:
-    """Immutable fixed-length string of 0/1 values."""
+    """Immutable fixed-length string of 0/1 values.
 
-    bits: tuple[int, ...]
+    Stored as ``mask``, an ``int`` whose bit ``i`` is position ``i``, and
+    ``length``; equality and hashing compare both, so ``Genome((1, 0))``
+    and ``Genome((1,))`` differ. ``Genome(bits)`` is the public, validating
+    constructor: it accepts any iterable of values equal to 0 or 1 after
+    ``int()``, rejects an empty one, and packs it into a mask once.
+    ``bits`` is derived on demand as a tuple.
+    """
 
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
+    mask: int
+    length: int
+
+    def __init__(self, bits: Iterable[int]):
+        # validation lives in __post_init__, as in the package's other public
+        # classes; _from_mask bypasses both
+        self.__post_init__(bits)
+
+    def __post_init__(self, bits: Iterable[int]):
+        bits = tuple(int(b) for b in bits)
         if len(bits) < 1:
             raise DimensionError("genome must have length >= 1")
         if any(b not in (0, 1) for b in bits):
             raise ValueError("genome bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "mask", int("".join(map(str, reversed(bits))), 2))
+        object.__setattr__(self, "length", len(bits))
+
+    @classmethod
+    def _from_mask(cls, mask: int, length: int) -> "Genome":
+        """Trusted constructor for operators that already hold a valid
+        ``0 <= mask < 2**length`` with ``length >= 1``; checks nothing."""
+        genome = object.__new__(cls)
+        object.__setattr__(genome, "mask", mask)
+        object.__setattr__(genome, "length", length)
+        return genome
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        # the binary string lists position length-1 first; translating its
+        # "0"/"1" bytes to 0/1 is ~12x faster than int() per character
+        text = format(self.mask, f"0{self.length}b")[::-1]
+        return tuple(text.encode().translate(_BIT_VALUES))
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.length
 
     def __iter__(self):
         return iter(self.bits)
+
+    def __repr__(self) -> str:
+        return f"Genome(bits={self.bits!r})"
 
 
 def random_genome(length: int, rng: random.Random) -> Genome:
     """Uniform random genome of the given length."""
     if length < 1:
         raise DimensionError("genome must have length >= 1")
-    mask = rng.getrandbits(length)
-    return Genome(tuple((mask >> i) & 1 for i in range(length)))
+    return Genome._from_mask(rng.getrandbits(length), length)
 
 
 @dataclass
@@ -179,19 +221,16 @@ def crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
     """Agreement-preserving uniform crossover.
 
     Wherever the parents agree the child inherits that bit; at every
-    disagreement it takes either parent's bit with probability 1/2.
+    disagreement it takes either parent's bit with probability 1/2: one
+    ``getrandbits(length)`` draw picks ``a``'s bit where it has a 1 and
+    ``b``'s where it has a 0.
     """
     if len(a) != len(b):
         raise DimensionError("parents must have equal length")
-    if a.bits == b.bits:
+    if a.mask == b.mask:
         return a
-    length = len(a)
-    mask = rng.getrandbits(length)
-    bits = tuple(
-        x if x == y else (x if (mask >> i) & 1 else y)
-        for i, (x, y) in enumerate(zip(a.bits, b.bits))
-    )
-    return Genome(bits)
+    pick = rng.getrandbits(a.length)
+    return Genome._from_mask((a.mask & pick) | (b.mask & ~pick), a.length)
 
 
 def mutate(genome: Genome, rate: float, rng: random.Random) -> Genome:
@@ -203,15 +242,13 @@ def mutate(genome: Genome, rate: float, rng: random.Random) -> Genome:
         raise ValueError("mutation rate must lie in [0, 1]")
     if rate == 0.0:
         return genome
-    bits = list(genome.bits)
-    changed = False
-    for i in range(len(bits)):
-        if rng.random() < rate:
-            fresh = rng.getrandbits(1)
-            if fresh != bits[i]:
-                bits[i] = fresh
-                changed = True
-    return Genome(tuple(bits)) if changed else genome
+    mask = genome.mask
+    flips = 0
+    draw = rng.random
+    for i in range(genome.length):
+        if draw() < rate and rng.getrandbits(1) != (mask >> i) & 1:
+            flips |= 1 << i
+    return Genome._from_mask(mask ^ flips, genome.length) if flips else genome
 
 
 def step_generation(

@@ -79,10 +79,6 @@ class ScheduleMatrix:
         """Label of body row ``row`` (0-based)."""
         return self.labels[row + 1]
 
-    def free_body_rows(self) -> list[int]:
-        """0-based body rows with no job label (available slots)."""
-        return [i for i in range(self.m) if self.labels[i + 1] is None]
-
     def dropped_rows(self) -> list[int]:
         """0-based body rows holding a job whose row is all zero, ascending."""
         empty = np.flatnonzero(~self.body.any(axis=1)).tolist()

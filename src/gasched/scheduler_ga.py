@@ -92,37 +92,36 @@ def feasible(matrix: ScheduleMatrix, cfg: SchedulerFitnessConfig) -> bool:
 
 
 def make_fitness(job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig):
-    """Fitness over flattened (job_count x k) bodies, memoized.
+    """Fitness over flattened (job_count x k) bodies, memoized by mask.
 
     Scores each genome exactly as ``schedule_fitness`` applied to the
     decoded-and-repaired matrix (see :func:`decode_schedule`), but via a
-    direct scan so population evaluation stays cheap.
+    direct scan of the genome's mask so population evaluation stays cheap:
+    job row ``r`` is the ``k``-bit field at ``r*k``, and its lowest set
+    bit is the row's leftmost 1.
     """
     length = job_count * k
-    cache: dict[tuple[int, ...], float] = {}
+    row_mask = (1 << k) - 1
+    cache: dict[int, float] = {}
 
     def fitness(genome: Genome) -> float:
-        if len(genome) != length:
-            raise DimensionError(f"genome length {len(genome)} != jobs*k = {length}")
-        bits = genome.bits
-        value = cache.get(bits)
+        if genome.length != length:
+            raise DimensionError(f"genome length {genome.length} != jobs*k = {length}")
+        mask = genome.mask
+        value = cache.get(mask)
         if value is None:
             loads = [0] * k
             drops = 0
-            for r in range(job_count):
-                base = r * k
-                row = bits[base : base + k]
-                for j in range(k):
-                    if row[j]:
-                        if loads[j] < m:  # leftmost 1 wins; full column evicts
-                            loads[j] += 1
-                        else:
-                            drops += 1
-                        break
-                else:
-                    drops += 1
+            for base in range(0, length, k):
+                row = (mask >> base) & row_mask
+                if row:
+                    j = (row & -row).bit_length() - 1  # leftmost 1 wins
+                    if loads[j] < m:  # full column evicts
+                        loads[j] += 1
+                        continue
+                drops += 1
             value = score(loads, drops, cfg)
-            cache[bits] = value
+            cache[mask] = value
         return value
 
     return fitness
@@ -141,14 +140,17 @@ def random_placement_genome(job_count: int, k: int, m: int, rng) -> Genome:
     """One job per row, each sent to a uniformly random machine; jobs
     landing on a machine whose column is already full stay as all-zero
     (dropped) rows."""
+    length = job_count * k
+    if length < 1:
+        raise DimensionError("genome must have length >= 1")
     counts = [0] * k
-    bits = [0] * (job_count * k)
+    mask = 0
     for r in range(job_count):
         col = rng.randrange(k)
         if counts[col] < m:
             counts[col] += 1
-            bits[r * k + col] = 1
-    return Genome(tuple(bits))
+            mask |= 1 << (r * k + col)
+    return Genome._from_mask(mask, length)
 
 
 class OptimizeResult(NamedTuple):

@@ -303,8 +303,16 @@ def _normalized(out):
              "--delta", "1", "--seed", "2"],
             "b58ce1781be6c202876037ac8ebd5662fa06ebc18cb8649e2cae1f1af074142f",
         ),
+        (
+            # 240-bit genomes, several machine words; the GA improves
+            # once (history 3.0 -> 2.0), so crossover and mutate matter
+            [(i, 0, 1 + i % 4) for i in range(40)],
+            ["optimize", "--machines", "6", "--queue-depth", "8", "--w", "6",
+             "--delta", "1", "--seed", "2"],
+            "f9f941470e7540cd10d3679b258ec7edcf67067e09be32f6e5ecd1c52703ba92",
+        ),
     ],
-    ids=["optimize", "simulate", "oracle-check"],
+    ids=["optimize", "simulate", "oracle-check", "optimize-240-bits"],
 )
 def test_stdout_matches_golden_digest(tmp_path, capsys, jobs, argv, digest):
     # a changed digest means a changed output: the objective, an RNG draw
