@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from typing import Any
@@ -132,7 +133,13 @@ def _coerce(key: str, value: Any, provenance: str) -> Any:
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(key, f"expected a number ({provenance})")
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(key, f"expected a finite number, got {value} ({provenance})")
+        return value
     if not isinstance(value, str):
         raise ConfigError(key, f"expected a string ({provenance})")
     return value

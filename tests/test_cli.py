@@ -102,6 +102,28 @@ def test_bad_input_exits_two_naming_key(tmp_path, capsys, jobs, argv, key):
     assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
 
+@pytest.mark.parametrize("subcommand", ["optimize", "oracle-check", "simulate"])
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"overload_weight": Infinity}', "overload_weight"),
+        ('{"drop_weight": NaN}', "drop_weight"),
+        ('{"drop_weight": Infinity}', "drop_weight"),
+        ('{"stagnation_tol": NaN}', "stagnation_tol"),
+        ('{"crossover_rate": 1' + "0" * 400 + '}', "crossover_rate"),
+    ],
+    ids=["overload-weight-inf", "drop-weight-nan", "drop-weight-inf", "stagnation-tol-nan",
+         "crossover-rate-int-overflow"],
+)
+def test_non_finite_config_value_exits_two_naming_key(tmp_path, capsys, subcommand, text, key):
+    # json.loads reads NaN, Infinity and -Infinity as floats; a huge int overflows float
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    wl = write_workload(tmp_path, [(0, 0, 1), (1, 0, 1)])
+    assert main([subcommand, "--config", str(cfg_path), "--workload", wl]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
+
+
 # ----------------------------------------------------------------- simulate
 
 def test_simulate_empty_workload_writes_zero_metrics(tmp_path):

@@ -22,6 +22,7 @@ from gasched import (
     tick,
     trace_csv,
 )
+from gasched import simulator
 from gasched.errors import CapacityError, ConfigError, StateError
 from gasched.ga_core import stream
 from gasched.simulator import SimState, _ga_repack
@@ -358,6 +359,85 @@ def test_run_sim_builds_one_matrix_per_run(monkeypatch):
     metrics = run_sim(cfg, bursty_jobs(1, 200))
     assert metrics.recalls > 0 and metrics.dropped > 0 and metrics.completed > 0
     assert len(built) == 1  # the empty matrix of SimState; every tick edits it in place
+
+
+def _run_checking_loads(cfg, jobs):
+    """run_sim's loop by hand, checking the loads run state after every call."""
+    by_tick = {}
+    for job in jobs:
+        by_tick.setdefault(job.arrival, []).append(job)
+    dispatch_rng = stream(cfg.seed, "dispatch")
+    tick_rng = stream(cfg.seed, "tick")
+    state = SimState(cfg)
+    for t in range(cfg.horizon):
+        dispatch(state, by_tick.get(t, []), dispatch_rng)
+        assert state.loads == column_loads(state.matrix), ("dispatch", t)
+        tick(state, tick_rng)
+        assert state.loads == column_loads(state.matrix), ("tick", t)
+    return state
+
+
+@pytest.mark.parametrize("k,m", list(itertools.product((1, 3, 16), (1, 6, 256))))
+def test_loads_state_equals_column_loads_after_every_call(k, m):
+    horizon = m + 100
+    jobs = bursty_jobs(k * 1000 + m, horizon)
+    served = recalled = 0
+    for q, interval, max_recalls in itertools.product((0.0, 0.2, 1.0), (1, 10), (0, 3)):
+        cfg = sim_cfg(k=k, m=m, send_failure_prob=q, horizon=horizon,
+                      rebalance_interval=interval, max_recalls=max_recalls,
+                      seed=k + m + interval, overload=OverloadConfig(w=m // k, delta=0))
+        state = _run_checking_loads(cfg, jobs)
+        served += state.completed + state.serving()
+        recalled += state.recalled
+    assert served > 0  # queued jobs did reach the head row, each taking one off loads
+    if m <= 6:
+        assert recalled > 0
+
+
+def test_loads_state_equals_column_loads_with_ga_rebalance():
+    cfg = sim_cfg(k=2, m=6, send_failure_prob=0.4, horizon=40, seed=5,
+                  rebalance_interval=5, ga_rebalance=True,
+                  overload=OverloadConfig(w=2, delta=0))
+    state = _run_checking_loads(cfg, bursty_jobs(3, 40))
+    assert state.ga_history
+
+
+@pytest.mark.parametrize("corrupt", ["loads", "matrix"])
+def test_load_drift_raises_at_next_interval_tick(corrupt):
+    state = SimState(sim_cfg(k=3, m=6, rebalance_interval=5))
+    rng = random.Random(0)
+    dispatch(state, [Job(i, 3, 0) for i in range(4)], rng)
+    tick(state, rng)
+    if corrupt == "loads":
+        state.loads[2] += 1
+    else:  # an edit behind the run state's back
+        row = state.matrix.labels.index(None, 1) - 1
+        state.matrix.labels[row + 1] = 99
+        state.matrix.body[row, 0] = 1
+        state.arrived += 1
+        state.service_time[99] = 3
+    for _ in range(3):
+        tick(state, rng)  # ticks 2-4: no audit of the loads yet
+    with pytest.raises(StateError, match="load drift at tick 5"):
+        tick(state, rng)
+
+
+def test_column_loads_runs_only_per_interval_and_per_recall(monkeypatch):
+    calls = []
+    original = simulator.column_loads
+
+    def counting(matrix):
+        calls.append(1)
+        return original(matrix)
+
+    monkeypatch.setattr(simulator, "column_loads", counting)
+    horizon, interval = 200, 5
+    cfg = sim_cfg(k=3, m=4, send_failure_prob=0.3, horizon=horizon, seed=1,
+                  rebalance_interval=interval, max_recalls=2,
+                  overload=OverloadConfig(w=2, delta=0))
+    metrics = run_sim(cfg, bursty_jobs(1, horizon))
+    assert metrics.recalls > 0 and metrics.dropped > 0 and metrics.completed > 0
+    assert len(calls) <= 2 * -(-horizon // interval) + metrics.recalls
 
 
 def test_conservation_audit_raises_on_lost_job():
