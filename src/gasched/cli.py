@@ -15,8 +15,8 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
-from typing import Any
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable
 
 from .errors import BudgetError, ConfigError, GaschedError
 from .ga_core import GaConfig
@@ -26,39 +26,57 @@ from .scheduler_ga import SchedulerFitnessConfig, SchedulingProblem, optimize_sc
 from .simulator import SimConfig, load_workload, run_sim, trace_csv
 
 
+def _key(default: Any, flag: bool = False, check: tuple[Callable[[Any], bool], str] | None = None):
+    """Declare a run parameter: its default, whose type is the key's type
+    (``str`` for a ``None`` default), whether it has a ``--flag`` (bool keys
+    have none), and its range rule as a ``(predicate, message)`` pair."""
+    return field(default=default, metadata={"flag": flag, "check": check})
+
+
+def _at_least(low: int) -> tuple[Callable[[Any], bool], str]:
+    return lambda v: v >= low, f"must be >= {low}"
+
+
+def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
+    return lambda v: v in choices, f"must be one of {', '.join(choices)}"
+
+
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+
+
 @dataclass
 class RunConfig:
     subcommand: str
-    seed: int = 0
-    generations: int = 200
-    population: int = 40
-    mutation_rate: float = 0.05
-    crossover_rate: float = 0.9
-    elite_count: int = 2
-    stagnation_window: int = 10
-    stagnation_tol: float = 0.0
-    machines: int = 3
-    queue_depth: int = 3
-    w: int = 2
-    delta: int = 1
-    send_failure_prob: float = 0.0
-    rebalance_interval: int = 10
-    horizon: int = 100
-    max_recalls: int = 3
-    ga_rebalance: bool = False
-    drop_weight: float = 100.0
-    overload_weight: float = 1.0
-    oracle_sweep: int = 20
-    workload: str | None = None
-    out: str | None = None
-    format: str = "json"
+    seed: int = _key(0, flag=True, check=_at_least(0))
+    generations: int = _key(200, flag=True, check=_at_least(1))
+    population: int = _key(40, flag=True, check=_at_least(2))
+    mutation_rate: float = _key(0.05, flag=True, check=_UNIT)
+    crossover_rate: float = _key(0.9, flag=True, check=_UNIT)
+    elite_count: int = _key(2, check=_at_least(0))
+    stagnation_window: int = _key(10, check=_at_least(1))
+    stagnation_tol: float = _key(0.0, check=_at_least(0))
+    machines: int = _key(3, flag=True, check=_at_least(1))
+    queue_depth: int = _key(3, flag=True, check=_at_least(1))
+    w: int = _key(2, flag=True, check=_at_least(0))
+    delta: int = _key(1, flag=True, check=_at_least(0))
+    send_failure_prob: float = _key(0.0, flag=True, check=_UNIT)
+    rebalance_interval: int = _key(10, flag=True, check=_at_least(1))
+    horizon: int = _key(100, flag=True, check=_at_least(1))
+    max_recalls: int = _key(3, check=_at_least(0))
+    ga_rebalance: bool = _key(False)
+    drop_weight: float = _key(100.0, check=(lambda v: v > 0, "must be positive"))
+    overload_weight: float = _key(1.0, check=_at_least(0))
+    oracle_sweep: int = _key(20, check=_at_least(1))
+    workload: str | None = _key(None, flag=True)
+    out: str | None = _key(None, flag=True)
+    format: str = _key("json", flag=True, check=_one_of("json", "csv", "both"))
 
     def resolved(self) -> dict[str, Any]:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc.pop("subcommand")
         return doc
 
-    def ga_config(self) -> GaConfig:
+    def ga_config(self, seed: int) -> GaConfig:
         return GaConfig(
             population_size=self.population,
             max_generations=self.generations,
@@ -67,7 +85,7 @@ class RunConfig:
             elite_count=self.elite_count,
             stagnation_window=self.stagnation_window,
             stagnation_tol=self.stagnation_tol,
-            rng_seed=self.seed,
+            rng_seed=seed,
         )
 
     def fitness_config(self) -> SchedulerFitnessConfig:
@@ -91,31 +109,9 @@ class RunConfig:
         )
 
 
-_KEY_TYPES: dict[str, type] = {
-    "seed": int,
-    "generations": int,
-    "population": int,
-    "mutation_rate": float,
-    "crossover_rate": float,
-    "elite_count": int,
-    "stagnation_window": int,
-    "stagnation_tol": float,
-    "machines": int,
-    "queue_depth": int,
-    "w": int,
-    "delta": int,
-    "send_failure_prob": float,
-    "rebalance_interval": int,
-    "horizon": int,
-    "max_recalls": int,
-    "ga_rebalance": bool,
-    "drop_weight": float,
-    "overload_weight": float,
-    "oracle_sweep": int,
-    "workload": str,
-    "out": str,
-    "format": str,
-}
+_KEYS = [f for f in fields(RunConfig) if f.metadata]
+_KEY_TYPES: dict[str, type] = {f.name: str if f.default is None else type(f.default) for f in _KEYS}
+_CHECKS = [(f.name, *f.metadata["check"]) for f in _KEYS if f.metadata["check"] is not None]
 
 SUBCOMMANDS = ("optimize", "simulate", "oracle-check", "print-config")
 
@@ -146,36 +142,18 @@ def _coerce(key: str, value: Any, provenance: str) -> Any:
 
 
 def _validate(cfg: RunConfig) -> None:
-    positive = ("generations", "rebalance_interval", "horizon", "oracle_sweep",
-                "machines", "queue_depth", "stagnation_window")
-    for key in positive:
-        if getattr(cfg, key) < 1:
-            raise ConfigError(key, "must be >= 1")
-    if cfg.population < 2:
-        raise ConfigError("population", "must be >= 2")
-    for key in ("mutation_rate", "crossover_rate", "send_failure_prob"):
-        if not 0.0 <= getattr(cfg, key) <= 1.0:
-            raise ConfigError(key, "must lie in [0, 1]")
-    for key in ("w", "delta", "max_recalls", "elite_count", "seed"):
-        if getattr(cfg, key) < 0:
-            raise ConfigError(key, "must be >= 0")
-    last_seed = cfg.seed + (cfg.oracle_sweep - 1 if cfg.subcommand == "oracle-check" else 0)
-    if last_seed >= 2**64:
-        raise ConfigError("seed", f"the last seed used, {last_seed}, must be below 2**64")
-    if cfg.stagnation_tol < 0:
-        raise ConfigError("stagnation_tol", "must be >= 0")
-    if cfg.drop_weight <= 0:
-        raise ConfigError("drop_weight", "must be positive")
-    if cfg.overload_weight < 0:
-        raise ConfigError("overload_weight", "must be >= 0")
+    for key, ok, message in _CHECKS:
+        if not ok(getattr(cfg, key)):
+            raise ConfigError(key, message)
     if cfg.elite_count >= cfg.population:
         raise ConfigError("elite_count", "must be smaller than population")
     if cfg.w > cfg.queue_depth:
         raise ConfigError("w", "must not exceed queue_depth")
     if cfg.delta > cfg.machines:
         raise ConfigError("delta", "must not exceed machines")
-    if cfg.format not in ("json", "csv", "both"):
-        raise ConfigError("format", "must be one of json, csv, both")
+    last_seed = cfg.seed + (cfg.oracle_sweep - 1 if cfg.subcommand == "oracle-check" else 0)
+    if last_seed >= 2**64:
+        raise ConfigError("seed", f"the last seed used, {last_seed}, must be below 2**64")
 
 
 @functools.cache
@@ -186,21 +164,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--generations", type=int, default=None)
-        p.add_argument("--population", type=int, default=None)
-        p.add_argument("--mutation-rate", dest="mutation_rate", type=float, default=None)
-        p.add_argument("--crossover-rate", dest="crossover_rate", type=float, default=None)
-        p.add_argument("--machines", type=int, default=None)
-        p.add_argument("--queue-depth", dest="queue_depth", type=int, default=None)
-        p.add_argument("--w", type=int, default=None)
-        p.add_argument("--delta", type=int, default=None)
-        p.add_argument("--send-failure-prob", dest="send_failure_prob", type=float, default=None)
-        p.add_argument("--rebalance-interval", dest="rebalance_interval", type=int, default=None)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--workload", type=str, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", type=str, default=None, choices=("json", "csv", "both"))
+        for f in _KEYS:
+            if f.metadata["flag"]:
+                flag = "--" + f.name.replace("_", "-")
+                p.add_argument(flag, dest=f.name, type=_KEY_TYPES[f.name], default=None)
     return parser
 
 
@@ -219,7 +186,9 @@ def parse_config(argv: list[str]) -> RunConfig:
                 file_values = json.load(fh)
         except OSError as exc:
             raise ConfigError("config", f"cannot read {ns.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: bad JSON or UTF-8, or an integer of over 4300 digits;
+            # RecursionError: nesting deeper than the recursion limit
             raise ConfigError("config", f"invalid JSON in {ns.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config", "config file must hold a JSON object")
@@ -246,12 +215,17 @@ def _emit(doc: dict[str, Any], cfg: RunConfig, csv_text: str | None = None) -> N
             sys.stdout.write(csv_text)
         return
     if cfg.format in ("json", "both") or csv_text is None:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(cfg.out, text)
     if csv_text is not None and cfg.format in ("csv", "both"):
-        csv_path = cfg.out if cfg.format == "csv" else cfg.out + ".csv"
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write(cfg.out if cfg.format == "csv" else cfg.out + ".csv", csv_text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or lone surrogate in the path
+        raise ConfigError("out", f"cannot write {path}: {exc}") from exc
 
 
 def _load_jobs(cfg: RunConfig) -> list:
@@ -263,22 +237,19 @@ def _load_jobs(cfg: RunConfig) -> list:
     return jobs
 
 
-def _make_problem(cfg: RunConfig, jobs, seed: int | None = None) -> SchedulingProblem:
-    ga_cfg = cfg.ga_config()
-    if seed is not None:
-        ga_cfg.rng_seed = seed
+def _make_problem(cfg: RunConfig, jobs, seed: int) -> SchedulingProblem:
     return SchedulingProblem(
         jobs=jobs,
         k=cfg.machines,
         m=cfg.queue_depth,
         fitness_cfg=cfg.fitness_config(),
-        ga_cfg=ga_cfg,
+        ga_cfg=cfg.ga_config(seed),
     )
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
     jobs = _load_jobs(cfg)
-    result = optimize_schedule(_make_problem(cfg, jobs))
+    result = optimize_schedule(_make_problem(cfg, jobs, cfg.seed))
     _emit(
         {
             "best_fitness": result.fitness,
@@ -312,7 +283,7 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     oracle = brute_force_best(len(jobs), cfg.machines, cfg.queue_depth, cfg.fitness_config())
     results = []
     for offset in range(cfg.oracle_sweep):
-        result = optimize_schedule(_make_problem(cfg, jobs, seed=cfg.seed + offset))
+        result = optimize_schedule(_make_problem(cfg, jobs, cfg.seed + offset))
         results.append(result.fitness)
     ga_best = min(results)
     match = ga_best == oracle.optimum

@@ -322,21 +322,3 @@ def run(
         if top.fitness < best.fitness:
             best = Individual(top.genome, top.fitness)
     return best, history
-
-
-def epsilon_good_set(
-    values: Iterable[float], minima: Iterable[float], epsilon: float
-) -> set[int]:
-    """Indices of values within ``epsilon`` of some known minimum.
-
-    Only usable when the true minima are known, i.e. on oracle problems
-    in the test harness.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    minima = list(minima)
-    if not minima:
-        raise ValueError("minima must be nonempty")
-    return {
-        i for i, v in enumerate(values) if min(abs(v - m) for m in minima) <= epsilon
-    }

@@ -133,13 +133,6 @@ def _complete_heads_inplace(matrix: ScheduleMatrix) -> tuple[list[JobId], list[J
     return completed, to_recall
 
 
-def column_load(matrix: ScheduleMatrix, j: int) -> int:
-    """Number of queued (body) jobs waiting at machine ``j`` (1-based)."""
-    if not 1 <= j <= matrix.k:
-        raise ValueError(f"machine index must lie in 1..{matrix.k}")
-    return int(matrix.body[:, j - 1].sum())
-
-
 def column_loads(matrix: ScheduleMatrix) -> list[int]:
     """Per-machine body loads, index 0 = machine 1."""
     return matrix.body.sum(axis=0).tolist()
@@ -303,11 +296,6 @@ def repair_column_capacity(matrix: ScheduleMatrix, max_load: int) -> ScheduleMat
         for r in rows[max_load:]:
             out.body[r, j] = 0
     return out
-
-
-def to_genome(matrix: ScheduleMatrix) -> Genome:
-    """Row-major flattening of the body (head row excluded)."""
-    return Genome(tuple(int(b) for b in matrix.body.reshape(-1)))
 
 
 def from_genome(

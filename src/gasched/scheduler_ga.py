@@ -81,16 +81,6 @@ def schedule_fitness(matrix: ScheduleMatrix, cfg: SchedulerFitnessConfig) -> flo
     return score(column_loads(matrix), len(matrix.dropped_rows()), cfg)
 
 
-def feasible(matrix: ScheduleMatrix, cfg: SchedulerFitnessConfig) -> bool:
-    """True iff every row waits at <= 1 machine and at most ``delta``
-    machines are overloaded."""
-    if any(int(row.sum()) > 1 for row in (matrix.head, *matrix.body)):
-        return False
-    loads = column_loads(matrix)
-    overloads = sum(1 for load in loads if load > cfg.overload.w)
-    return overloads <= cfg.overload.delta
-
-
 def make_fitness(job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig):
     """Fitness over flattened (job_count x k) bodies, memoized by mask.
 

