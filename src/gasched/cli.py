@@ -37,11 +37,15 @@ def _at_least(low: int) -> tuple[Callable[[Any], bool], str]:
     return lambda v: v >= low, f"must be >= {low}"
 
 
+def _in_range(low: int, high: int) -> tuple[Callable[[Any], bool], str]:
+    return lambda v: low <= v <= high, f"must lie in [{low}, {high}]"
+
+
 def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
     return lambda v: v in choices, f"must be one of {', '.join(choices)}"
 
 
-_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_UNIT = _in_range(0, 1)
 
 
 @dataclass
@@ -55,8 +59,10 @@ class RunConfig:
     elite_count: int = _key(2, check=_at_least(0))
     stagnation_window: int = _key(10, check=_at_least(1))
     stagnation_tol: float = _key(0.0, check=_at_least(0))
-    machines: int = _key(3, flag=True, check=_at_least(1))
-    queue_depth: int = _key(3, flag=True, check=_at_least(1))
+    # the caps keep a simulated (queue_depth x machines) matrix at 4 MB and a
+    # genome row at 1024 bits, and reject a huge value before anything is built
+    machines: int = _key(3, flag=True, check=_in_range(1, 1024))
+    queue_depth: int = _key(3, flag=True, check=_in_range(1, 4096))
     w: int = _key(2, flag=True, check=_at_least(0))
     delta: int = _key(1, flag=True, check=_at_least(0))
     send_failure_prob: float = _key(0.0, flag=True, check=_UNIT)

@@ -111,6 +111,16 @@ class Population:
         if self.generation < 0:
             raise ValueError("generation must be non-negative")
 
+    @classmethod
+    def _from_members(cls, members: list[Individual], generation: int) -> "Population":
+        """Trusted constructor for the GA loop, whose members come from a
+        validated population or from operators that keep genome length;
+        checks nothing."""
+        population = object.__new__(cls)
+        population.members = members
+        population.generation = generation
+        return population
+
     @property
     def size(self) -> int:
         return len(self.members)
@@ -176,7 +186,7 @@ def evaluate(population: Population, fitness: FitnessFunction) -> Population:
         if not math.isfinite(value):
             raise ValueError("fitness values must be finite")
         members.append(Individual(ind.genome, value))
-    return Population(members, generation=population.generation)
+    return Population._from_members(members, population.generation)
 
 
 def _require_evaluated(population: Population) -> None:
@@ -274,7 +284,7 @@ def step_generation(
             child = a.genome if a.fitness <= b.fitness else b.genome
         child = mutate(child, config.mutation_rate, rng)
         children.append(Individual(child))
-    nxt = Population(selection.elites + children, generation=population.generation + 1)
+    nxt = Population._from_members(selection.elites + children, population.generation + 1)
     return evaluate(nxt, fitness)
 
 

@@ -85,13 +85,24 @@ def make_fitness(job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig):
     """Fitness over flattened (job_count x k) bodies, memoized by mask.
 
     Scores each genome exactly as ``schedule_fitness`` applied to the
-    decoded-and-repaired matrix (see :func:`decode_schedule`), but via a
-    direct scan of the genome's mask so population evaluation stays cheap:
-    job row ``r`` is the ``k``-bit field at ``r*k``, and its lowest set
-    bit is the row's leftmost 1.
+    decoded-and-repaired matrix (see :func:`decode_schedule`), but from
+    per-column bit counts of the genome's mask. Job row ``r`` is the
+    ``k``-bit field at ``r*k``, and its leftmost 1 is at column ``j``
+    exactly when bit ``j`` of the row is set and bits ``0..j-1`` are
+    clear. So column ``j`` holds the rows that have bit ``j`` set among
+    those not yet placed in columns ``0..j-1``; it keeps ``min(count, m)``
+    of them and evicts the rest, and rows with no 1 at all are dropped.
+    Which rows a full column evicts does not change the score, only how
+    many.
+
+    One evaluation costs a few big-int operations per column (shift, mask,
+    popcount) instead of a shift per job row, and stops early once every
+    row is placed. It is slower than a row scan only when machines far
+    outnumber jobs.
     """
     length = job_count * k
-    row_mask = (1 << k) - 1
+    # bit r*k set for every row r: the mask of column 0
+    lanes = ((1 << length) - 1) // ((1 << k) - 1)
     cache: dict[int, float] = {}
 
     def fitness(genome: Genome) -> float:
@@ -102,14 +113,18 @@ def make_fitness(job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig):
         if value is None:
             loads = [0] * k
             drops = 0
-            for base in range(0, length, k):
-                row = (mask >> base) & row_mask
-                if row:
-                    j = (row & -row).bit_length() - 1  # leftmost 1 wins
-                    if loads[j] < m:  # full column evicts
-                        loads[j] += 1
-                        continue
-                drops += 1
+            unplaced = lanes
+            for j in range(k):
+                if not unplaced:
+                    break
+                placed = (mask >> j) & unplaced  # rows whose leftmost 1 is column j
+                unplaced ^= placed
+                count = placed.bit_count()
+                if count > m:  # full column evicts
+                    drops += count - m
+                    count = m
+                loads[j] = count
+            drops += unplaced.bit_count()  # all-zero rows
             value = score(loads, drops, cfg)
             cache[mask] = value
         return value

@@ -115,12 +115,22 @@ def test_missing_workload_for_optimize_exits_two(capsys):
         ([(0, 0, 1)], ["simulate", "--out", "{tmp}"], "out"),
         ([(0, 0, 1)], ["optimize", "--out", "{tmp}/missing/best.json"], "out"),
         ([(0, 0, 1)], ["simulate", "--format", "xml"], "format"),
+        ([], ["simulate", "--machines", str(10**20), "--delta", "0", "--horizon", "1"],
+         "machines"),
+        ([], ["simulate", "--queue-depth", str(10**20), "--delta", "0", "--horizon", "1"],
+         "queue_depth"),
+        ([(0, 0, 1), (1, 0, 1)], ["optimize", "--machines", str(10**20), "--delta", "0"],
+         "machines"),
+        ([(0, 0, 1)], ["oracle-check", "--machines", "1025"], "machines"),
+        ([(0, 0, 1)], ["simulate", "--queue-depth", "4097"], "queue_depth"),
     ],
     ids=["zero-service-time", "empty-optimize", "empty-oracle-check",
          "seed-above-64-bits", "sweep-above-64-bits",
          "duplicate-id-optimize", "duplicate-id-oracle-check",
          "workload-missing", "workload-directory", "workload-not-utf-8",
-         "out-directory", "out-in-missing-directory", "format-xml"],
+         "out-directory", "out-in-missing-directory", "format-xml",
+         "machines-1e20-simulate", "queue-depth-1e20-simulate", "machines-1e20-optimize",
+         "machines-above-cap", "queue-depth-above-cap"],
 )
 def test_bad_input_exits_two_naming_key(tmp_path, capsys, jobs, argv, key):
     wl = write_workload(tmp_path, jobs)
@@ -129,6 +139,11 @@ def test_bad_input_exits_two_naming_key(tmp_path, capsys, jobs, argv, key):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main([argv[0], "--workload", wl, *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}:")
+
+
+def test_largest_machines_and_queue_depth_simulate(capsys):
+    assert main(["simulate", "--machines", "1024", "--queue-depth", "4096", "--horizon", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["queue_depth"] == 4096
 
 
 @pytest.mark.parametrize(
@@ -423,7 +438,10 @@ def _key_values(tmp_path, key, default):
     """Strategies for one key's usual values and for any value it may be
     given; paths stay under tmp_path."""
     if key in _SIZES:
-        return st.integers(1, _SIZES[key]), st.integers(-1, _SIZES[key]) | _NON_INT
+        other = st.integers(-1, _SIZES[key]) | _NON_INT
+        if key in ("machines", "queue_depth"):  # far above the cap: exits 2 unbuilt
+            other |= st.integers(min_value=10**4)
+        return st.integers(1, _SIZES[key]), other
     if key in _PATHS:
         usual, *other = (str(tmp_path / name) for name in _PATHS[key])
         non_str = _NON_INT.filter(lambda v: not isinstance(v, str)) | st.integers()

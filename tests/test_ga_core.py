@@ -109,6 +109,30 @@ def test_unevaluated_individual_is_distinct_from_fitness_zero():
     assert ind.fitness is None
 
 
+def test_public_population_constructor_still_validates():
+    with pytest.raises(ValueError):
+        make_population([(0, 1)])
+    with pytest.raises(DimensionError):
+        make_population([(0, 1), (0, 1, 1)])
+    with pytest.raises(ValueError):
+        Population([Individual(Genome((0,))), Individual(Genome((1,)))], generation=-1)
+
+
+def test_run_validates_only_the_initial_population(monkeypatch):
+    checks = []
+    validate = Population.__post_init__
+
+    def counted(self):
+        checks.append(self.generation)
+        validate(self)
+
+    monkeypatch.setattr(Population, "__post_init__", counted)
+    cfg = GaConfig(population_size=6, max_generations=5, stagnation_window=50)
+    _, history = run(lambda r: random_genome(12, r), popcount_fitness(12), cfg)
+    assert len(history) == 5
+    assert checks == [0]
+
+
 # -------------------------------------------------------- select_parents
 
 def test_select_parents_smallest_case():

@@ -152,12 +152,14 @@ def test_random_placement_matches_tuple_reference(job_count, k):
             assert rng.getstate() == ref_rng.getstate()
 
 
-@pytest.mark.parametrize("k", (1, 3, 8))
+# k = 16 and 31 put rows across the 30-bit digits of CPython ints, as
+# LENGTHS does for genomes; m = job_count lets one column take every job
+@pytest.mark.parametrize("k", (1, 2, 3, 8, 16, 31))
 def test_make_fitness_matches_row_scan(k):
     rng = random.Random(k)
     for job_count in (1, 2, 10, 100):
         length = job_count * k
-        for m in (1, 2, 5):
+        for m in sorted({1, 2, 5, job_count}):
             cfg = SchedulerFitnessConfig(overload=OverloadConfig(w=rng.randint(0, m), delta=0))
             fitness = make_fitness(job_count, k, m, cfg)
             # all-zero rows only, one full column taking every job, random
