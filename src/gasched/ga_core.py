@@ -12,6 +12,10 @@ once, at the boundary, when a caller builds ``Genome(bits)``; the
 operators here (:func:`random_genome`, :func:`crossover`, :func:`mutate`)
 produce genomes from masks through the trusted ``Genome._from_mask`` and
 work with integer operations instead of per-bit tuples.
+
+Bounded index draws (tournament entrants, random placements) use
+``getrandbits`` with rejection, which is ``randrange``'s own rule, so
+runs stay reproducible draw for draw.
 """
 
 from __future__ import annotations
@@ -189,20 +193,22 @@ def evaluate(population: Population, fitness: FitnessFunction) -> Population:
     return Population._from_members(members, population.generation)
 
 
-def _require_evaluated(population: Population) -> None:
-    if any(ind.fitness is None for ind in population.members):
-        raise StateError("population must be evaluated first")
-
-
-def _tournament(members: list[Individual], i: int, j: int) -> Individual:
-    # size-2 tournament: lower fitness wins, ties go to the lower index
-    fi = members[i].fitness
-    fj = members[j].fitness
-    if fi < fj:
-        return members[i]
-    if fj < fi:
-        return members[j]
-    return members[min(i, j)]
+def _indices_below(rng: random.Random, n: int, count: int) -> list[int]:
+    """``count`` successive ``rng.randrange(n)`` values, drawn as CPython
+    draws them: ``getrandbits(n.bit_length())`` until the value is below
+    ``n``, without ``randrange``'s per-call Python overhead."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    getrandbits = rng.getrandbits
+    width = n.bit_length()
+    out = []
+    append = out.append
+    for _ in range(count):
+        r = getrandbits(width)
+        while r >= n:
+            r = getrandbits(width)
+        append(r)
+    return out
 
 
 def select_parents(population: Population, config: GaConfig, rng: random.Random) -> ParentSelection:
@@ -210,21 +216,25 @@ def select_parents(population: Population, config: GaConfig, rng: random.Random)
 
     Returns the ``elite_count`` best individuals (copies, preserved
     unchanged into the next generation) and ``N - elite_count`` parent
-    pairs, each parent the winner of an independent size-2 tournament.
+    pairs, each parent the winner of an independent size-2 tournament:
+    lower fitness wins, a tie goes to the lower index. The entrants'
+    indices are drawn as ``randrange(N)`` draws them, four per pair.
     """
-    _require_evaluated(population)
     members = population.members
+    fit = [ind.fitness for ind in members]
+    if None in fit:
+        raise StateError("population must be evaluated first")
     n = population.size
     if config.elite_count >= n:
         raise ValueError("elite_count must be smaller than the population size")
-    order = sorted(range(n), key=lambda i: (members[i].fitness, i))
-    elites = [Individual(members[i].genome, members[i].fitness) for i in order[: config.elite_count]]
-    pairs = []
-    for _ in range(n - config.elite_count):
-        a = _tournament(members, rng.randrange(n), rng.randrange(n))
-        b = _tournament(members, rng.randrange(n), rng.randrange(n))
-        pairs.append((a, b))
-    return ParentSelection(elites, pairs)
+    order = sorted(range(n), key=fit.__getitem__)  # stable: ties keep index order
+    elites = [Individual(members[i].genome, fit[i]) for i in order[: config.elite_count]]
+    draws = _indices_below(rng, n, 4 * (n - config.elite_count))
+    winners = [
+        members[i] if fit[i] < fit[j] or (not fit[j] < fit[i] and i < j) else members[j]
+        for i, j in zip(draws[::2], draws[1::2])
+    ]
+    return ParentSelection(elites, list(zip(winners[::2], winners[1::2])))
 
 
 def crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
@@ -235,7 +245,7 @@ def crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
     ``getrandbits(length)`` draw picks ``a``'s bit where it has a 1 and
     ``b``'s where it has a 0.
     """
-    if len(a) != len(b):
+    if a.length != b.length:
         raise DimensionError("parents must have equal length")
     if a.mask == b.mask:
         return a
@@ -276,13 +286,16 @@ def step_generation(
     if population.size != config.population_size:
         raise ValueError("population size does not match config.population_size")
     selection = select_parents(population, config, rng)
+    draw = rng.random
+    crossover_rate = config.crossover_rate
+    mutation_rate = config.mutation_rate
     children = []
     for a, b in selection.pairs:
-        if rng.random() < config.crossover_rate:
+        if draw() < crossover_rate:
             child = crossover(a.genome, b.genome, rng)
         else:
             child = a.genome if a.fitness <= b.fitness else b.genome
-        child = mutate(child, config.mutation_rate, rng)
+        child = mutate(child, mutation_rate, rng)
         children.append(Individual(child))
     nxt = Population._from_members(selection.elites + children, population.generation + 1)
     return evaluate(nxt, fitness)
@@ -306,9 +319,8 @@ def has_converged(best_history: list[float], config: GaConfig) -> bool:
 
 
 def _best(population: Population) -> Individual:
-    members = population.members
-    idx = min(range(len(members)), key=lambda i: (members[i].fitness, i))
-    return members[idx]
+    fit = [ind.fitness for ind in population.members]
+    return population.members[fit.index(min(fit))]  # first of the tied best
 
 
 def run(

@@ -150,8 +150,7 @@ def random_placement_genome(job_count: int, k: int, m: int, rng) -> Genome:
         raise DimensionError("genome must have length >= 1")
     counts = [0] * k
     mask = 0
-    for r in range(job_count):
-        col = rng.randrange(k)
+    for r, col in enumerate(ga_core._indices_below(rng, k, job_count)):
         if counts[col] < m:
             counts[col] += 1
             mask |= 1 << (r * k + col)

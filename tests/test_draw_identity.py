@@ -1,0 +1,106 @@
+"""Bounded index draws: the GA loop draws exactly what ``randrange`` draws.
+
+``_ref_select_parents`` and ``_ref_best`` below are the selection code as
+it was written over ``rng.randrange`` and per-member tuple keys. They are
+kept here as an independent statement of which parents and elites are
+chosen and in which order the RNG is drawn; the loop must give the same
+members and leave the RNG in the same state.
+"""
+
+import random
+
+import pytest
+
+from gasched import GaConfig, Genome, Individual, Population, select_parents
+from gasched.ga_core import _best, _indices_below
+
+# powers of two and their neighbours change the rejection rate; 2**31 + 5
+# needs a 32-bit draw that is rejected about half the time
+BOUNDS = (1, 2, 3, 7, 8, 9, 40, 64, 65, 1000, 2**31 + 5)
+COUNTS = (0, 1, 100)
+SEEDS = range(50)
+SIZES = (2, 3, 7, 8, 9, 40, 64, 65)
+# few distinct values, so that tournaments and elite ranks tie often;
+# -0.0 == 0.0 is a tie too
+FITNESS_VALUES = (0.0, -0.0, 1.0, 2.0, 100.0)
+
+
+# ------------------------------------------------------------ references
+
+def _ref_tournament(members, i, j):
+    fi = members[i].fitness
+    fj = members[j].fitness
+    if fi < fj:
+        return members[i]
+    if fj < fi:
+        return members[j]
+    return members[min(i, j)]
+
+
+def _ref_select_parents(members, elite_count, rng):
+    n = len(members)
+    order = sorted(range(n), key=lambda i: (members[i].fitness, i))
+    elites = [Individual(members[i].genome, members[i].fitness) for i in order[:elite_count]]
+    pairs = []
+    for _ in range(n - elite_count):
+        a = _ref_tournament(members, rng.randrange(n), rng.randrange(n))
+        b = _ref_tournament(members, rng.randrange(n), rng.randrange(n))
+        pairs.append((a, b))
+    return elites, pairs
+
+
+def _ref_best(members):
+    return members[min(range(len(members)), key=lambda i: (members[i].fitness, i))]
+
+
+def _population(n, rng):
+    members = [
+        Individual(Genome._from_mask(i, 7), rng.choice(FITNESS_VALUES)) for i in range(n)
+    ]
+    return Population(members)
+
+
+# ----------------------------------------------------------- equivalence
+
+@pytest.mark.parametrize("n", BOUNDS)
+def test_indices_below_draws_as_randrange(n):
+    for count in COUNTS:
+        for seed in SEEDS:
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert _indices_below(rng, n, count) == [ref_rng.randrange(n) for _ in range(count)]
+            assert rng.getstate() == ref_rng.getstate()
+
+
+def test_indices_below_rejects_empty_range():
+    with pytest.raises(ValueError):
+        _indices_below(random.Random(0), 0, 1)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_select_parents_matches_randrange_reference(n):
+    fitness_rng = random.Random(n)
+    for elite_count in sorted({0, 1, n - 1}):
+        cfg = GaConfig(population_size=n, max_generations=10, elite_count=elite_count)
+        for seed in SEEDS:
+            population = _population(n, fitness_rng)
+            members = population.members
+            index = {id(ind): i for i, ind in enumerate(members)}
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = select_parents(population, cfg, rng)
+            elites, pairs = _ref_select_parents(members, elite_count, ref_rng)
+            assert [(e.genome, e.fitness) for e in got.elites] == [
+                (e.genome, e.fitness) for e in elites
+            ]
+            assert not any(id(e) in index for e in got.elites)  # copies
+            assert [(index[id(a)], index[id(b)]) for a, b in got.pairs] == [
+                (index[id(a)], index[id(b)]) for a, b in pairs
+            ]
+            assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_best_is_first_of_the_tied_best(n):
+    fitness_rng = random.Random(n)
+    for _ in SEEDS:
+        members = _population(n, fitness_rng).members
+        assert _best(Population(members)) is _ref_best(members)

@@ -43,12 +43,13 @@ def make_population(bit_rows, fitnesses=None):
 
 
 class ScriptedRng:
-    """Replays a fixed list of randrange draws (tournament index tests)."""
+    """Replays a fixed list of getrandbits draws as tournament indices;
+    each value is below the population size, so none is rejected."""
 
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def randrange(self, _n):
+    def getrandbits(self, _k):
         return self.draws.pop(0)
 
 
