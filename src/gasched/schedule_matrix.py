@@ -6,6 +6,9 @@ columns. Row 0 is the head row (the completion/recall slot); rows 1..m
 are the waiting-queue body. A ``1`` in a body row means "that row's job
 is queued at this machine"; a labeled all-zero body row is a job whose
 send failed (a dropped job awaiting recall or repair).
+The simulator retires finished jobs straight from service, so in a run
+the head row is only the recall slot: a failed job's all-zero row waits
+there for one tick before ``recall_job`` puts it back in the queue.
 
 Machine indices are 1-based on the public surface, matching the column
 numbering; internals are 0-based numpy arrays. The public operators are
@@ -16,6 +19,14 @@ may be shared freely across threads. Each queue operator (``shift_up``,
 the operator's in-place core (``_shift_up_inplace`` and so on) on the
 copy. A single owner of a matrix, such as the simulator's run state,
 calls the cores directly and so builds no new matrix per step.
+
+The cores that read column loads (``_recall_job_inplace``,
+``_mutate_dropped_rows_inplace``, ``_rebalance_crossover_inplace``) take
+the caller's body column loads, as ``column_loads`` returns them, instead
+of summing the matrix themselves, and keep that list equal to
+``column_loads`` of the edited matrix. Their pure wrappers pass
+``column_loads`` of the copy, so each wrapper sums the matrix once per
+call.
 """
 
 from __future__ import annotations
@@ -151,12 +162,13 @@ def recall_job(
     used during search.
     """
     out = matrix.copy()
-    _recall_job_inplace(out, job, rng, uniform)
+    _recall_job_inplace(out, column_loads(out), job, rng, uniform)
     return out
 
 
 def _recall_job_inplace(
     matrix: ScheduleMatrix,
+    loads: list[int],
     job: JobId,
     rng: random.Random | None = None,
     uniform: bool = False,
@@ -168,10 +180,13 @@ def _recall_job_inplace(
             raise ValueError("uniform placement requires an rng")
         col = rng.randrange(matrix.k)
     else:
-        loads = column_loads(matrix)
         col = loads.index(min(loads))
-    matrix.body[matrix.m - 1, :] = 0
-    matrix.body[matrix.m - 1, col] = 1
+    last = matrix.body[matrix.m - 1]
+    for j in np.flatnonzero(last).tolist():  # stray bits of the unlabeled row
+        loads[j] -= 1
+    last[:] = 0
+    last[col] = 1
+    loads[col] += 1
     matrix.labels[matrix.m] = job
 
 
@@ -217,20 +232,22 @@ def rebalance_crossover(
     """Move queued jobs off overloaded machines until at most ``delta``
     machines exceed ``w``.
 
-    Each step takes the deepest 1 of the most overloaded column and
-    moves it, within its own row, to the least-loaded column that still
-    has room below ``w``; untouched entries keep their within-column
-    order, and the total number of queued jobs never changes. Returns
-    the rebalanced matrix and whether the ``delta`` target was reached
-    (False means best effort: no remaining move could relieve a column
-    above ``w``).
+    Each step picks the most overloaded column and the least-loaded
+    column that still has room below ``w``, and moves the deepest 1 of
+    the first whose row holds a 0 in the second over to the second,
+    within that row; untouched entries keep their within-column order,
+    and the total number of queued jobs never changes. Returns the
+    rebalanced matrix and whether the ``delta`` target was reached (False
+    means best effort: no remaining move could relieve a column above
+    ``w``).
     """
     out = matrix.copy()
-    return out, _rebalance_crossover_inplace(out, cfg)
+    return out, _rebalance_crossover_inplace(out, column_loads(out), cfg)
 
 
-def _rebalance_crossover_inplace(matrix: ScheduleMatrix, cfg: OverloadConfig) -> bool:
-    loads = column_loads(matrix)
+def _rebalance_crossover_inplace(
+    matrix: ScheduleMatrix, loads: list[int], cfg: OverloadConfig
+) -> bool:
     while True:
         over = [j for j in range(matrix.k) if loads[j] > cfg.w]
         if len(over) <= cfg.delta:
@@ -240,7 +257,9 @@ def _rebalance_crossover_inplace(matrix: ScheduleMatrix, cfg: OverloadConfig) ->
             return False
         src = min(over, key=lambda j: (-loads[j], j))
         tgt = min(targets, key=lambda j: (loads[j], j))
-        row = int(np.nonzero(matrix.body[:, src])[0][-1])
+        # rows with a 1 at src and a 0 at tgt; never empty, since
+        # loads[tgt] < w < loads[src] leaves some src row free at tgt
+        row = int(np.flatnonzero(matrix.body[:, src] > matrix.body[:, tgt])[-1])
         matrix.body[row, src] = 0
         matrix.body[row, tgt] = 1
         loads[src] -= 1
@@ -260,16 +279,16 @@ def mutate_dropped_rows(
     that capacity-aware mode keeps physical queue depths honest.
     """
     out = matrix.copy()
-    _mutate_dropped_rows_inplace(out, rng, max_load)
+    _mutate_dropped_rows_inplace(out, column_loads(out), rng, max_load)
     return out
 
 
 def _mutate_dropped_rows_inplace(
     matrix: ScheduleMatrix,
+    loads: list[int],
     rng: random.Random,
     max_load: int | None = None,
 ) -> None:
-    loads = column_loads(matrix)
     for i in matrix.dropped_rows():
         if max_load is None:
             col = rng.randrange(matrix.k)

@@ -4,10 +4,11 @@ The waiting queues live in a :class:`ScheduleMatrix`: arriving jobs are
 dispatched into the deepest free queue row (send failures leave a
 labeled all-zero row instead), the whole matrix advances one slot per
 tick when the head is clear, and the job reaching the head row is taken
-into service by its machine. Finished jobs are retired through the head
-row; failed jobs reaching the head are recalled to the back of the
-queue until their recall budget runs out. Every ``rebalance_interval``
-ticks the mutation/rebalance operators tidy the queues.
+into service by its machine. Finished jobs leave from service directly.
+The head row is the recall slot: a failed job (all-zero row) shifted
+into it is recalled to the back of the queue on the next tick, until its
+recall budget runs out. Every ``rebalance_interval`` ticks the
+mutation/rebalance operators tidy the queues.
 
 The run state owns its matrix, so ``dispatch`` and ``tick`` edit it in
 place through the in-place cores of the queue operators: after
@@ -18,10 +19,12 @@ decodes matrices of its own).
 The per-machine body column loads are run state too (``SimState.loads``),
 kept in step with the matrix instead of summed from it on every send and
 every tick: a successful send adds one, the shift that moves a queued job
-into the head row takes one off, and a successful recall or the periodic
-mutation/rebalance pass re-derives them with ``column_loads``. Every
-``rebalance_interval`` ticks, before the periodic pass, the loads are
-checked against the matrix and a mismatch raises ``StateError``.
+into the head row takes one off, and the recall core adds one in place.
+Every ``rebalance_interval`` ticks the loads are summed from the matrix
+once with ``column_loads``: a mismatch with the run state raises
+``StateError``, and otherwise the mutation/rebalance cores keep that sum
+up to date and it becomes the new run state (only the optional
+``ga_rebalance`` repack sums the matrix again).
 
 A job is always in exactly one place - queued (labeled matrix row), in
 service, completed, or dropped - and the simulation checks that
@@ -116,10 +119,11 @@ class SimState:
     ``loads[j]`` is the number of queued jobs waiting at machine j, that
     is the body column loads of ``matrix``. It is kept in step by
     ``dispatch`` (+1 per successful send) and ``tick`` (-1 when the shift
-    moves a queued job into the head row; re-derived after a successful
-    recall and after the periodic pass), and audited against the matrix
-    every ``rebalance_interval`` ticks. Callers therefore edit the matrix
-    only through ``dispatch`` and ``tick``.
+    moves a queued job into the head row, +1 from the recall core), and
+    every ``rebalance_interval`` ticks it is audited against the matrix
+    and replaced by the audited sum, which the periodic pass's cores keep
+    up to date. Callers therefore edit the matrix only through
+    ``dispatch`` and ``tick``.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -200,13 +204,12 @@ def _process_recalls(state: SimState, to_recall: list[int]) -> None:
             state.dropped += 1
             continue
         try:
-            _recall_job_inplace(state.matrix, job)
+            _recall_job_inplace(state.matrix, state.loads, job)
         except CapacityError:
             state.dropped += 1
         else:
             state.recall_counts[job] = used + 1
             state.recalled += 1
-            state.loads = column_loads(state.matrix)
 
 
 def _ga_repack(state: SimState, rng: random.Random) -> None:
@@ -242,22 +245,24 @@ def _ga_repack(state: SimState, rng: random.Random) -> None:
 def tick(state: SimState, rng: random.Random) -> SimState:
     """Advance the simulation by one time step.
 
-    Order: service countdown; recall handling for a failed job sitting
-    in the head row; completion ceremonies for machines that finished;
-    one queue shift (skipped while the incoming job's machine is still
-    busy); service intake for the new head job; then, every
-    ``rebalance_interval`` ticks, the audit of ``state.loads`` and the
-    periodic mutation + rebalance pass; then bookkeeping.
+    Order: service countdown, where a machine whose job finishes
+    retires it straight from service; recall handling for a failed job
+    sitting in the head row (the recall slot); one queue shift (skipped
+    while the incoming job's machine is still busy) with service intake
+    for the job it moves into the head row; then, every
+    ``rebalance_interval`` ticks, one ``column_loads`` sum that audits
+    ``state.loads``, feeds the periodic mutation + rebalance pass and
+    becomes the new ``state.loads``; then bookkeeping.
     """
     cfg = state.cfg
     matrix = state.matrix
 
-    finishers = []
     for j in range(cfg.k):
         if state.remaining[j] > 0:
             state.remaining[j] -= 1
             if state.remaining[j] == 0:
-                finishers.append(j)
+                state.in_service[j] = None
+                state.completed += 1
 
     # row tests use np.count_nonzero: one C call (~0.4 us) against ~1.3 us for ndarray.any
     # a failed job shifted into the head last tick is recalled now
@@ -265,26 +270,15 @@ def tick(state: SimState, rng: random.Random) -> SimState:
         _, to_recall = _complete_heads_inplace(matrix)
         _process_recalls(state, to_recall)
 
-    # each finished machine retires its job through the head row
-    for j in finishers:
-        job = state.in_service[j]
-        state.in_service[j] = None
-        matrix.labels[0] = job
-        matrix.head[j] = 1
-        done, _ = _complete_heads_inplace(matrix)
-        state.completed += len(done)
-
     # advance the queues unless the next job's machine is still busy
     if matrix.labels[0] is None and not np.count_nonzero(matrix.head):
-        blocked = False
-        if matrix.labels[1] is not None and np.count_nonzero(matrix.body[0]):
-            machine = int(matrix.body[0].argmax())
-            blocked = state.remaining[machine] > 0
-        if not blocked:
+        row = matrix.body[0]
+        machine = int(row.argmax())
+        queued = matrix.labels[1] is not None and row[machine] != 0
+        if not (queued and state.remaining[machine] > 0):
             _shift_up_inplace(matrix)
-            job = matrix.labels[0]
-            if job is not None and np.count_nonzero(matrix.head):
-                machine = int(matrix.head.argmax())
+            if queued:  # the job shifted into the head row goes into service
+                job = matrix.labels[0]
                 state.loads[machine] -= 1  # the job has left its machine's queue
                 matrix.head[:] = 0
                 matrix.labels[0] = None
@@ -299,11 +293,12 @@ def tick(state: SimState, rng: random.Random) -> SimState:
                 f"load drift at tick {state.tick_count}: "
                 f"run state {state.loads} vs matrix {derived}"
             )
-        _mutate_dropped_rows_inplace(matrix, rng)
-        _rebalance_crossover_inplace(matrix, cfg.overload)
+        _mutate_dropped_rows_inplace(matrix, derived, rng)
+        _rebalance_crossover_inplace(matrix, derived, cfg.overload)
         if cfg.ga_rebalance:
             _ga_repack(state, rng)
-        state.loads = column_loads(matrix)
+            derived = column_loads(matrix)
+        state.loads = derived
 
     loads = state.loads
     mean_load = sum(loads) / cfg.k

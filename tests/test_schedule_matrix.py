@@ -70,17 +70,18 @@ def test_construction_rejects_entries_other_than_zero_and_one(value, where):
 
 # ------------------------------------------- pure wrappers over in-place cores
 # Each case readies a random matrix for one operator and returns the pure
-# wrapper, its in-place core, and a maker of fresh extra arguments (a new
-# rng with the same seed each call, so both sides draw the same numbers).
+# wrapper, its in-place core, a maker of fresh extra arguments (a new
+# rng with the same seed each call, so both sides draw the same numbers),
+# and whether the core takes the caller's column loads after the matrix.
 
 def _shift_case(rng, matrix):
     matrix.head[:] = 0
     matrix.labels[0] = None
-    return shift_up, _shift_up_inplace, lambda: ()
+    return shift_up, _shift_up_inplace, lambda: (), False
 
 
 def _complete_case(rng, matrix):
-    return complete_heads, _complete_heads_inplace, lambda: ()
+    return complete_heads, _complete_heads_inplace, lambda: (), False
 
 
 def _recall_case(rng, matrix):
@@ -88,18 +89,19 @@ def _recall_case(rng, matrix):
     matrix.labels[-1] = None
     uniform = rng.random() < 0.5
     seed = rng.getrandbits(32)
-    return recall_job, _recall_job_inplace, lambda: (999, random.Random(seed), uniform)
+    return recall_job, _recall_job_inplace, lambda: (999, random.Random(seed), uniform), True
 
 
 def _mutate_case(rng, matrix):
     max_load = rng.choice([None, 1, 2])
     seed = rng.getrandbits(32)
-    return mutate_dropped_rows, _mutate_dropped_rows_inplace, lambda: (random.Random(seed), max_load)
+    return (mutate_dropped_rows, _mutate_dropped_rows_inplace,
+            lambda: (random.Random(seed), max_load), True)
 
 
 def _rebalance_case(rng, matrix):
     cfg = OverloadConfig(w=rng.randint(0, matrix.m), delta=rng.randint(0, matrix.k))
-    return rebalance_crossover, _rebalance_crossover_inplace, lambda: (cfg,)
+    return rebalance_crossover, _rebalance_crossover_inplace, lambda: (cfg,), True
 
 
 @pytest.mark.parametrize("case", [_shift_case, _complete_case, _recall_case,
@@ -108,12 +110,17 @@ def test_pure_wrapper_equals_core_on_a_copy_and_keeps_input(case, rng):
     for _ in range(200):
         matrix = repair_rows(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 5),
                                            labeled=True))
-        pure, core, make_args = case(rng, matrix)
+        pure, core, make_args, takes_loads = case(rng, matrix)
         before = matrix.copy()
         result = pure(matrix, *make_args())
         assert matrix == before
         out = matrix.copy()
-        extras = core(out, *make_args())
+        if takes_loads:
+            loads = column_loads(matrix)
+            extras = core(out, loads, *make_args())
+            assert loads == column_loads(out)  # the core kept the caller's loads
+        else:
+            extras = core(out, *make_args())
         got, got_extras = (result[0], result[1:]) if isinstance(result, tuple) else (result, ())
         if extras is None:
             extras = ()
@@ -232,6 +239,15 @@ def test_recall_places_exactly_one_bit(rng):
         matrix.labels[m_rows] = None
         out = recall_job(matrix, 999)
         assert int(out.body[m_rows - 1].sum()) == 1
+
+
+def test_recall_core_takes_stray_bits_of_unlabeled_last_row_off_loads():
+    # the last row is unlabeled but holds bits; the recall clears them
+    m = matrix_from_body([[1, 0, 0], [0, 1, 1]], labels=[None, 1, None])
+    loads = column_loads(m)
+    _recall_job_inplace(m, loads, 7)
+    assert m.body[1].tolist() == [1, 0, 0]  # loads [1, 1, 1] before: ties to column 1
+    assert loads == column_loads(m) == [2, 0, 0]
 
 
 def test_recall_uniform_mode_uses_rng():
@@ -361,11 +377,13 @@ def test_rebalance_leaves_feasible_matrix_alone():
     assert out == m
 
 
-def test_rebalance_preserves_popcount_and_never_worsens(rng):
+def _check_rebalance_preserves_popcount_and_never_worsens(rng, repair):
     for _ in range(1000):
         m_rows = rng.randint(1, 7)
         k = rng.randint(1, 5)
-        matrix = repair_rows(random_matrix(rng, m_rows, k, density=0.6))
+        matrix = random_matrix(rng, m_rows, k, density=0.6)
+        if repair:
+            matrix = repair_rows(matrix)
         w = rng.randint(1, max(1, m_rows))
         delta = rng.randint(0, k)
         cfg = OverloadConfig(w=w, delta=delta)
@@ -378,6 +396,24 @@ def test_rebalance_preserves_popcount_and_never_worsens(rng):
             assert after == 0 or delta >= after
         if reached:
             assert after <= delta
+
+
+def test_rebalance_preserves_popcount_and_never_worsens(rng):
+    _check_rebalance_preserves_popcount_and_never_worsens(rng, repair=True)
+
+
+def test_rebalance_preserves_popcount_on_rows_with_several_ones(rng):
+    _check_rebalance_preserves_popcount_and_never_worsens(rng, repair=False)
+
+
+def test_rebalance_moves_only_from_rows_free_at_the_target():
+    # the deepest 1 of column 1 sits in a row that already has a 1 in
+    # column 2; moving it there would lose a queued job
+    m = matrix_from_body([[1, 0], [1, 0], [1, 1]], labels=[None, 1, 2, 3])
+    out, reached = rebalance_crossover(m, OverloadConfig(w=2, delta=0))
+    assert reached
+    assert out.body.tolist() == [[1, 0], [0, 1], [1, 1]]
+    assert column_loads(out) == [2, 2]
 
 
 def test_rebalance_reaches_zero_under_total_capacity(rng):

@@ -335,6 +335,26 @@ def test_run_sim_matches_reference_loop(k, m):
         assert run_sim(cfg, jobs) == _reference_run_sim(cfg, jobs), (q, interval, max_recalls)
 
 
+def stream_jobs(seed, horizon):
+    """One arrival a tick on average, service times 1-2: the job streams
+    of the sim-stream benchmark workload."""
+    rng = random.Random(seed)
+    jobs = []
+    for t in range(horizon):
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            jobs.append(Job(len(jobs), rng.randint(1, 2), t))
+    return jobs
+
+
+@pytest.mark.parametrize("k,m", [(3, 6), (16, 256)])
+def test_run_sim_matches_reference_loop_at_benchmark_shapes(k, m):
+    # the sim-stream configurations: default interval, recalls and overload
+    for seed in (1, 2, 3):
+        cfg = SimConfig(k=k, m=m, send_failure_prob=0.2, horizon=1000, seed=seed)
+        jobs = stream_jobs(seed, 1000)
+        assert run_sim(cfg, jobs) == _reference_run_sim(cfg, jobs), seed
+
+
 def test_run_sim_matches_reference_loop_with_ga_rebalance():
     jobs = bursty_jobs(3, 40)
     cfg = sim_cfg(k=2, m=6, send_failure_prob=0.4, horizon=40, seed=5,
@@ -422,7 +442,7 @@ def test_load_drift_raises_at_next_interval_tick(corrupt):
         tick(state, rng)
 
 
-def test_column_loads_runs_only_per_interval_and_per_recall(monkeypatch):
+def test_column_loads_runs_once_per_interval_tick(monkeypatch):
     calls = []
     original = simulator.column_loads
 
@@ -437,7 +457,7 @@ def test_column_loads_runs_only_per_interval_and_per_recall(monkeypatch):
                   overload=OverloadConfig(w=2, delta=0))
     metrics = run_sim(cfg, bursty_jobs(1, horizon))
     assert metrics.recalls > 0 and metrics.dropped > 0 and metrics.completed > 0
-    assert len(calls) <= 2 * -(-horizon // interval) + metrics.recalls
+    assert len(calls) == horizon // interval
 
 
 def test_conservation_audit_raises_on_lost_job():
