@@ -16,9 +16,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from typing import Any
 
-from .errors import BudgetError, ConfigError, GaschedError
+from .errors import BudgetError, ConfigError, GaschedError, Rule, at_least, check_fields, in_range
 from .ga_core import GaConfig
 from .oracle import brute_force_best
 from .schedule_matrix import OverloadConfig, to_text
@@ -26,56 +26,45 @@ from .scheduler_ga import SchedulerFitnessConfig, SchedulingProblem, optimize_sc
 from .simulator import SimConfig, load_workload, run_sim, trace_csv
 
 
-def _key(default: Any, flag: bool = False, check: tuple[Callable[[Any], bool], str] | None = None):
+def _key(default: Any, *rules: Rule, flag: bool = False):
     """Declare a run parameter: its default, whose type is the key's type
-    (``str`` for a ``None`` default), whether it has a ``--flag`` (bool keys
-    have none), and its range rule as a ``(predicate, message)`` pair."""
-    return field(default=default, metadata={"flag": flag, "check": check})
+    (``str`` for a ``None`` default), the range rules that no library config
+    owns, and whether it has a ``--flag`` (bool keys have none)."""
+    return field(default=default, metadata={"flag": flag, "rules": rules})
 
 
-def _at_least(low: int) -> tuple[Callable[[Any], bool], str]:
-    return lambda v: v >= low, f"must be >= {low}"
-
-
-def _in_range(low: int, high: int) -> tuple[Callable[[Any], bool], str]:
-    return lambda v: low <= v <= high, f"must lie in [{low}, {high}]"
-
-
-def _one_of(*choices: str) -> tuple[Callable[[Any], bool], str]:
+def _one_of(*choices: str) -> Rule:
     return lambda v: v in choices, f"must be one of {', '.join(choices)}"
-
-
-_UNIT = _in_range(0, 1)
 
 
 @dataclass
 class RunConfig:
     subcommand: str
-    seed: int = _key(0, flag=True, check=_at_least(0))
-    generations: int = _key(200, flag=True, check=_at_least(1))
-    population: int = _key(40, flag=True, check=_at_least(2))
-    mutation_rate: float = _key(0.05, flag=True, check=_UNIT)
-    crossover_rate: float = _key(0.9, flag=True, check=_UNIT)
-    elite_count: int = _key(2, check=_at_least(0))
-    stagnation_window: int = _key(10, check=_at_least(1))
-    stagnation_tol: float = _key(0.0, check=_at_least(0))
+    seed: int = _key(0, flag=True)
+    generations: int = _key(200, flag=True)
+    population: int = _key(40, flag=True)
+    mutation_rate: float = _key(0.05, flag=True)
+    crossover_rate: float = _key(0.9, flag=True)
+    elite_count: int = _key(2)
+    stagnation_window: int = _key(10)
+    stagnation_tol: float = _key(0.0)
     # the caps keep a simulated (queue_depth x machines) matrix at 4 MB and a
     # genome row at 1024 bits, and reject a huge value before anything is built
-    machines: int = _key(3, flag=True, check=_in_range(1, 1024))
-    queue_depth: int = _key(3, flag=True, check=_in_range(1, 4096))
-    w: int = _key(2, flag=True, check=_at_least(0))
-    delta: int = _key(1, flag=True, check=_at_least(0))
-    send_failure_prob: float = _key(0.0, flag=True, check=_UNIT)
-    rebalance_interval: int = _key(10, flag=True, check=_at_least(1))
-    horizon: int = _key(100, flag=True, check=_at_least(1))
-    max_recalls: int = _key(3, check=_at_least(0))
+    machines: int = _key(3, in_range(1, 1024), flag=True)
+    queue_depth: int = _key(3, in_range(1, 4096), flag=True)
+    w: int = _key(2, flag=True)
+    delta: int = _key(1, flag=True)
+    send_failure_prob: float = _key(0.0, flag=True)
+    rebalance_interval: int = _key(10, flag=True)
+    horizon: int = _key(100, flag=True)
+    max_recalls: int = _key(3)
     ga_rebalance: bool = _key(False)
-    drop_weight: float = _key(100.0, check=(lambda v: v > 0, "must be positive"))
-    overload_weight: float = _key(1.0, check=_at_least(0))
-    oracle_sweep: int = _key(20, check=_at_least(1))
+    drop_weight: float = _key(100.0)
+    overload_weight: float = _key(1.0)
+    oracle_sweep: int = _key(20, at_least(1))
     workload: str | None = _key(None, flag=True)
     out: str | None = _key(None, flag=True)
-    format: str = _key("json", flag=True, check=_one_of("json", "csv", "both"))
+    format: str = _key("json", _one_of("json", "csv", "both"), flag=True)
 
     def resolved(self) -> dict[str, Any]:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -117,7 +106,6 @@ class RunConfig:
 
 _KEYS = [f for f in fields(RunConfig) if f.metadata]
 _KEY_TYPES: dict[str, type] = {f.name: str if f.default is None else type(f.default) for f in _KEYS}
-_CHECKS = [(f.name, *f.metadata["check"]) for f in _KEYS if f.metadata["check"] is not None]
 
 SUBCOMMANDS = ("optimize", "simulate", "oracle-check", "print-config")
 
@@ -148,18 +136,15 @@ def _coerce(key: str, value: Any, provenance: str) -> Any:
 
 
 def _validate(cfg: RunConfig) -> None:
-    for key, ok, message in _CHECKS:
-        if not ok(getattr(cfg, key)):
-            raise ConfigError(key, message)
-    if cfg.elite_count >= cfg.population:
-        raise ConfigError("elite_count", "must be smaller than population")
-    if cfg.w > cfg.queue_depth:
-        raise ConfigError("w", "must not exceed queue_depth")
-    if cfg.delta > cfg.machines:
-        raise ConfigError("delta", "must not exceed machines")
+    """Check the rules no library config owns, then build the library
+    configs, which check the rest."""
+    check_fields(cfg)
     last_seed = cfg.seed + (cfg.oracle_sweep - 1 if cfg.subcommand == "oracle-check" else 0)
     if last_seed >= 2**64:
         raise ConfigError("seed", f"the last seed used, {last_seed}, must be below 2**64")
+    cfg.ga_config(cfg.seed)
+    cfg.fitness_config()
+    cfg.sim_config()
 
 
 @functools.cache

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range rules of the
+config dataclasses, which raise :class:`ConfigError`."""
+
+import functools
+from dataclasses import field, fields
+from typing import Any, Callable
+
+Rule = tuple[Callable[[Any], bool], str]
 
 
 class GaschedError(Exception):
@@ -27,3 +34,32 @@ class ConfigError(GaschedError, ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
         self.key = key
+
+
+def at_least(low: int) -> Rule:
+    return lambda v: v >= low, f"must be >= {low}"
+
+
+def in_range(low: int, high: int) -> Rule:
+    return lambda v: low <= v <= high, f"must lie in [{low}, {high}]"
+
+
+def checked(*rules: Rule, key: str | None = None, **kwargs: Any) -> Any:
+    """Declare a dataclass field with its range rules, ``(predicate,
+    message)`` pairs that :func:`check_fields` enforces. Errors name
+    ``key``, the CLI key the value comes from (by default the field name)."""
+    return field(metadata={"key": key, "rules": rules}, **kwargs)
+
+
+def check_fields(obj: Any) -> None:
+    """Raise ConfigError for the first rule, in field order, that a field
+    of the dataclass instance ``obj`` breaks."""
+    for name, key, ok, message in _rules(type(obj)):
+        if not ok(getattr(obj, name)):
+            raise ConfigError(key, message)
+
+
+@functools.cache  # configs are built per GA run: fields() on each build doubles their cost
+def _rules(cls: type) -> list[tuple[str, str, Callable[[Any], bool], str]]:
+    return [(f.name, f.metadata.get("key") or f.name, ok, message)
+            for f in fields(cls) for ok, message in f.metadata.get("rules", ())]

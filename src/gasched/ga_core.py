@@ -25,7 +25,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import DimensionError, StateError
+from .errors import (
+    ConfigError, DimensionError, StateError, at_least, check_fields, checked, in_range,
+)
 
 FitnessFunction = Callable[["Genome"], float]
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -141,32 +143,20 @@ class GaConfig:
     consecutive steps.
     """
 
-    population_size: int
-    max_generations: int
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.05
-    elite_count: int = 2
-    stagnation_window: int = 10
-    stagnation_tol: float = 0.0
-    rng_seed: int = 0
+    population_size: int = checked(at_least(2), key="population")
+    max_generations: int = checked(at_least(1), key="generations")
+    crossover_rate: float = checked(in_range(0, 1), default=0.9)
+    mutation_rate: float = checked(in_range(0, 1), default=0.05)
+    elite_count: int = checked(at_least(0), default=2)
+    stagnation_window: int = checked(at_least(1), default=10)
+    stagnation_tol: float = checked(at_least(0), default=0.0)
+    rng_seed: int = checked(at_least(0), (lambda v: v < 2**64, "must be below 2**64"),
+                            key="seed", default=0)
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
-        for name in ("crossover_rate", "mutation_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if not 0 <= self.elite_count < self.population_size:
-            raise ValueError("elite_count must satisfy 0 <= elite_count < population_size")
-        if self.stagnation_window < 1:
-            raise ValueError("stagnation_window must be >= 1")
-        if self.stagnation_tol < 0:
-            raise ValueError("stagnation_tol must be >= 0")
-        if not 0 <= self.rng_seed < 2**64:
-            raise ValueError("rng_seed must be an unsigned 64-bit integer")
+        check_fields(self)
+        if self.elite_count >= self.population_size:
+            raise ConfigError("elite_count", "must be smaller than population")
 
 
 class ParentSelection(NamedTuple):

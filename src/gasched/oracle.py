@@ -8,15 +8,19 @@ assignments behind each vector with multinomials. That visits at most
 C(min(m, J) + k, k) vectors for J jobs on k machines, where the
 assignment space holds up to (k+1)^J maps.
 
-:func:`enumerate_assignments` still walks the assignment space itself;
-it is the independent reference that the tests check the solver against.
+The witness is one optimal assignment, as a tuple giving each job's
+machine (1-based) or ``None`` for a drop: machine 1's jobs first, then
+machine 2's, and so on, then the drops. Among all optimal assignments it
+is the first in lexicographic order with machines 1..k ranked before the
+drop, the order of a search that tries each job on machine 1, 2, ..., k
+and then drops it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import BudgetError
 from .scheduler_ga import SchedulerFitnessConfig, schedule_fitness, score
@@ -34,37 +38,6 @@ class OracleResult:
     optimum: float
     witness: tuple[int | None, ...]
     count: int
-
-
-def enumerate_assignments(
-    job_count: int, k: int, m: int
-) -> Iterator[tuple[int | None, ...]]:
-    """Yield every capacity-respecting map of jobs to machines 1..k or
-    ``None`` (drop), in deterministic lexicographic order."""
-    if job_count < 0 or k < 1 or m < 0:
-        raise ValueError("need job_count >= 0, k >= 1, m >= 0")
-    if (k + 1) ** job_count > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"(k+1)^jobs = {(k + 1) ** job_count} exceeds the {ENUMERATION_BUDGET} budget"
-        )
-
-    assignment: list[int | None] = [DROP] * job_count
-    counts = [0] * (k + 1)
-
-    def walk(idx: int) -> Iterator[tuple[int | None, ...]]:
-        if idx == job_count:
-            yield tuple(assignment)
-            return
-        for col in range(1, k + 1):
-            if counts[col] < m:
-                counts[col] += 1
-                assignment[idx] = col
-                yield from walk(idx + 1)
-                counts[col] -= 1
-        assignment[idx] = DROP
-        yield from walk(idx + 1)
-
-    yield from walk(0)
 
 
 def assignment_to_matrix(
@@ -86,9 +59,9 @@ def assignment_to_matrix(
 def brute_force_best(
     job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig
 ) -> OracleResult:
-    """Exact optimum over every capacity-respecting assignment, the first
-    witness reaching it in :func:`enumerate_assignments` order, and how
-    many assignments attain it."""
+    """Exact optimum over every capacity-respecting assignment, how many
+    assignments attain it, and a witness: machine 1's jobs, then machine
+    2's, and so on, then the drops (see the module docstring)."""
     if job_count == 0:
         return OracleResult(optimum=0.0, witness=(), count=1)
     if job_count < 0 or k < 1 or m < 0:
@@ -105,10 +78,10 @@ def brute_force_best(
     best = math.inf
     best_loads: list[int] = []
     best_drops = count = 0
-    # Non-increasing load vectors, lexicographically largest first. The
-    # enumerator tries machines 1..k before the drop slot, so its first
-    # optimal assignment is this scan's first optimal vector spelled out:
-    # machine 1's jobs, then machine 2's, ..., then the drops.
+    # Non-increasing load vectors, lexicographically largest first. Ranking
+    # machines 1..k before the drop, the first optimal assignment is this
+    # scan's first optimal vector spelled out: machine 1's jobs, then
+    # machine 2's, ..., then the drops.
     loads = [0] * k
     drops = job_count
     idx = 0

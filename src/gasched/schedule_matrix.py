@@ -36,7 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, StateError
+from .errors import (
+    CapacityError, ConfigError, DimensionError, StateError, at_least, check_fields, checked,
+)
 from .ga_core import Genome
 
 JobId = int
@@ -216,14 +218,26 @@ class OverloadConfig:
     """Overload thresholds: ``w`` is the tolerated per-machine waiting
     load, ``delta`` the tolerated count of machines above it."""
 
-    w: int
-    delta: int
+    w: int = checked(at_least(0))
+    delta: int = checked(at_least(0))
 
     def __post_init__(self):
-        if self.w < 0:
-            raise ValueError("w must be non-negative")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+        check_fields(self)
+
+
+def check_shape(k: int, m: int, overload: OverloadConfig | None) -> None:
+    """Raise ConfigError unless ``k`` machines with queue depth ``m`` make a
+    matrix and ``overload``, if given, fits it (``w <= m``, ``delta <= k``).
+    SchedulingProblem and SimConfig share these rules."""
+    if k < 1:
+        raise ConfigError("machines", "must be >= 1")
+    if m < 1:
+        raise ConfigError("queue_depth", "must be >= 1")
+    if overload is not None:
+        if overload.w > m:
+            raise ConfigError("w", "must not exceed queue_depth")
+        if overload.delta > k:
+            raise ConfigError("delta", "must not exceed machines")
 
 
 def rebalance_crossover(

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import ga_core
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError, at_least, check_fields, checked
 from .ga_core import GaConfig, Genome
 from .schedule_matrix import (
     OverloadConfig,
     ScheduleMatrix,
+    check_shape,
     column_loads,
     from_genome,
     mutate_dropped_rows,
@@ -35,14 +36,11 @@ class SchedulerFitnessConfig:
     """Weights of the scalar objective; dropped jobs must dominate."""
 
     overload: OverloadConfig
-    drop_weight: float = 100.0
-    overload_weight: float = 1.0
+    drop_weight: float = checked((lambda v: v > 0, "must be positive"), default=100.0)
+    overload_weight: float = checked(at_least(0), default=1.0)
 
     def __post_init__(self):
-        if self.drop_weight <= 0:
-            raise ValueError("drop_weight must be positive")
-        if self.overload_weight < 0:
-            raise ValueError("overload_weight must be non-negative")
+        check_fields(self)
 
 
 @dataclass
@@ -54,15 +52,9 @@ class SchedulingProblem:
     ga_cfg: GaConfig
 
     def __post_init__(self):
-        if self.k < 1 or self.m < 1:
-            raise ValueError("need k >= 1 machines and queue depth m >= 1")
+        check_shape(self.k, self.m, self.fitness_cfg.overload)
         if not self.jobs:
-            raise ValueError("jobs must be nonempty")
-        overload = self.fitness_cfg.overload
-        if overload.w > self.m:
-            raise ValueError("w must not exceed the queue depth m")
-        if overload.delta > self.k:
-            raise ValueError("delta must not exceed the machine count k")
+            raise ConfigError("workload", "must hold at least one job")
 
 
 def score(loads: Sequence[int], drops: int, cfg: SchedulerFitnessConfig) -> float:

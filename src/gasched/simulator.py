@@ -38,7 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, StateError
+from .errors import (
+    CapacityError, ConfigError, StateError, at_least, check_fields, checked, in_range,
+)
 from .ga_core import GaConfig, stream
 from .schedule_matrix import (
     OverloadConfig,
@@ -48,6 +50,7 @@ from .schedule_matrix import (
     _rebalance_crossover_inplace,
     _recall_job_inplace,
     _shift_up_inplace,
+    check_shape,
     column_loads,
 )
 
@@ -71,33 +74,19 @@ class Job:
 class SimConfig:
     k: int
     m: int
-    send_failure_prob: float = 0.0
-    rebalance_interval: int = 10
-    horizon: int = 100
-    max_recalls: int = 3
+    send_failure_prob: float = checked(in_range(0, 1), default=0.0)
+    rebalance_interval: int = checked(at_least(1), default=10)
+    horizon: int = checked(at_least(1), default=100)
+    max_recalls: int = checked(at_least(0), default=3)
     overload: OverloadConfig | None = None
     seed: int = 0
     ga_rebalance: bool = False
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("machines", "must be >= 1")
-        if self.m < 1:
-            raise ConfigError("queue_depth", "must be >= 1")
-        if not 0.0 <= self.send_failure_prob <= 1.0:
-            raise ConfigError("send_failure_prob", "must lie in [0, 1]")
-        if self.rebalance_interval < 1:
-            raise ConfigError("rebalance_interval", "must be >= 1")
-        if self.horizon < 1:
-            raise ConfigError("horizon", "must be >= 1")
-        if self.max_recalls < 0:
-            raise ConfigError("max_recalls", "must be >= 0")
+        check_fields(self)
+        check_shape(self.k, self.m, self.overload)
         if self.overload is None:
             self.overload = OverloadConfig(w=self.m, delta=self.k)
-        if self.overload.w > self.m:
-            raise ConfigError("w", "must not exceed queue_depth")
-        if self.overload.delta > self.k:
-            raise ConfigError("delta", "must not exceed machines")
 
 
 @dataclass

@@ -11,6 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gasched import (
+    GaConfig,
+    Job,
+    OverloadConfig,
+    SchedulerFitnessConfig,
+    SchedulingProblem,
+    SimConfig,
+)
 from gasched.cli import SUBCOMMANDS, RunConfig, main, parse_config
 from gasched.errors import ConfigError
 
@@ -139,6 +147,109 @@ def test_bad_input_exits_two_naming_key(tmp_path, capsys, jobs, argv, key):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main([argv[0], "--workload", wl, *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}:")
+
+
+# one bad value per range and cross-key rule, with the line the CLI prints
+_ERROR_LINES = [
+    ("print-config", {"seed": -1}, "seed: must be >= 0"),
+    ("print-config", {"seed": 2**64},
+     "seed: the last seed used, 18446744073709551616, must be below 2**64"),
+    ("oracle-check", {"seed": 2**64 - 20, "oracle_sweep": 21},
+     "seed: the last seed used, 18446744073709551616, must be below 2**64"),
+    ("print-config", {"generations": 0}, "generations: must be >= 1"),
+    ("print-config", {"population": 1}, "population: must be >= 2"),
+    ("print-config", {"mutation_rate": 1.5}, "mutation_rate: must lie in [0, 1]"),
+    ("print-config", {"crossover_rate": -0.1}, "crossover_rate: must lie in [0, 1]"),
+    ("print-config", {"elite_count": -1}, "elite_count: must be >= 0"),
+    ("print-config", {"elite_count": 40}, "elite_count: must be smaller than population"),
+    ("print-config", {"stagnation_window": 0}, "stagnation_window: must be >= 1"),
+    ("print-config", {"stagnation_tol": -0.5}, "stagnation_tol: must be >= 0"),
+    ("print-config", {"machines": 0}, "machines: must lie in [1, 1024]"),
+    ("print-config", {"machines": 1025}, "machines: must lie in [1, 1024]"),
+    ("print-config", {"queue_depth": 0}, "queue_depth: must lie in [1, 4096]"),
+    ("print-config", {"queue_depth": 4097}, "queue_depth: must lie in [1, 4096]"),
+    ("print-config", {"w": -1}, "w: must be >= 0"),
+    ("print-config", {"w": 4}, "w: must not exceed queue_depth"),
+    ("print-config", {"delta": -1}, "delta: must be >= 0"),
+    ("print-config", {"delta": 4}, "delta: must not exceed machines"),
+    ("print-config", {"send_failure_prob": 1.01}, "send_failure_prob: must lie in [0, 1]"),
+    ("print-config", {"rebalance_interval": 0}, "rebalance_interval: must be >= 1"),
+    ("print-config", {"horizon": 0}, "horizon: must be >= 1"),
+    ("print-config", {"max_recalls": -1}, "max_recalls: must be >= 0"),
+    ("print-config", {"drop_weight": 0.0}, "drop_weight: must be positive"),
+    ("print-config", {"overload_weight": -1.0}, "overload_weight: must be >= 0"),
+    ("print-config", {"oracle_sweep": 0}, "oracle_sweep: must be >= 1"),
+    ("print-config", {"format": "xml"}, "format: must be one of json, csv, both"),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, values, line", _ERROR_LINES,
+    ids=[f"{sub}-" + ",".join(f"{k}={v}" for k, v in values.items())
+         for sub, values, _ in _ERROR_LINES],
+)
+def test_bad_value_prints_its_exact_error_line(tmp_path, capsys, subcommand, values, line):
+    assert main([subcommand, "--config", write_config(tmp_path, values)]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+
+
+def _ga(**kwargs):
+    return GaConfig(**{"population_size": 4, "max_generations": 1, **kwargs})
+
+
+def _problem(k=2, m=2, w=1, delta=0, jobs=(Job(0, 1, 0),)):
+    fitness_cfg = SchedulerFitnessConfig(overload=OverloadConfig(w=w, delta=delta))
+    return SchedulingProblem(jobs=list(jobs), k=k, m=m, fitness_cfg=fitness_cfg, ga_cfg=_ga())
+
+
+# library configs name the CLI key a bad value comes from, whatever the field is called
+_LIBRARY_ERRORS = [
+    ("GaConfig.population_size", lambda: _ga(population_size=1), "population"),
+    ("GaConfig.max_generations", lambda: _ga(max_generations=0), "generations"),
+    ("GaConfig.crossover_rate", lambda: _ga(crossover_rate=1.5), "crossover_rate"),
+    ("GaConfig.mutation_rate", lambda: _ga(mutation_rate=-0.1), "mutation_rate"),
+    ("GaConfig.elite_count", lambda: _ga(elite_count=-1), "elite_count"),
+    ("GaConfig.elite_count-population", lambda: _ga(elite_count=4), "elite_count"),
+    ("GaConfig.stagnation_window", lambda: _ga(stagnation_window=0), "stagnation_window"),
+    ("GaConfig.stagnation_tol", lambda: _ga(stagnation_tol=-1.0), "stagnation_tol"),
+    ("GaConfig.rng_seed-negative", lambda: _ga(rng_seed=-1), "seed"),
+    ("GaConfig.rng_seed-above-64-bits", lambda: _ga(rng_seed=2**64), "seed"),
+    ("OverloadConfig.w", lambda: OverloadConfig(w=-1, delta=0), "w"),
+    ("OverloadConfig.delta", lambda: OverloadConfig(w=0, delta=-1), "delta"),
+    ("SchedulerFitnessConfig.drop_weight",
+     lambda: SchedulerFitnessConfig(overload=OverloadConfig(w=1, delta=0), drop_weight=0.0),
+     "drop_weight"),
+    ("SchedulerFitnessConfig.overload_weight",
+     lambda: SchedulerFitnessConfig(overload=OverloadConfig(w=1, delta=0), overload_weight=-1.0),
+     "overload_weight"),
+    ("SchedulingProblem.k", lambda: _problem(k=0), "machines"),
+    ("SchedulingProblem.m", lambda: _problem(m=0), "queue_depth"),
+    ("SchedulingProblem.w-above-m", lambda: _problem(w=3), "w"),
+    ("SchedulingProblem.delta-above-k", lambda: _problem(delta=3), "delta"),
+    ("SchedulingProblem.jobs", lambda: _problem(jobs=()), "workload"),
+    ("SimConfig.k", lambda: SimConfig(k=0, m=2), "machines"),
+    ("SimConfig.m", lambda: SimConfig(k=2, m=0), "queue_depth"),
+    ("SimConfig.send_failure_prob", lambda: SimConfig(k=2, m=2, send_failure_prob=2.0),
+     "send_failure_prob"),
+    ("SimConfig.rebalance_interval", lambda: SimConfig(k=2, m=2, rebalance_interval=0),
+     "rebalance_interval"),
+    ("SimConfig.horizon", lambda: SimConfig(k=2, m=2, horizon=0), "horizon"),
+    ("SimConfig.max_recalls", lambda: SimConfig(k=2, m=2, max_recalls=-1), "max_recalls"),
+    ("SimConfig.w-above-m", lambda: SimConfig(k=2, m=2, overload=OverloadConfig(w=3, delta=0)),
+     "w"),
+    ("SimConfig.delta-above-k",
+     lambda: SimConfig(k=2, m=2, overload=OverloadConfig(w=0, delta=3)), "delta"),
+]
+
+
+@pytest.mark.parametrize("build, key", [case[1:] for case in _LIBRARY_ERRORS],
+                         ids=[case[0] for case in _LIBRARY_ERRORS])
+def test_library_config_error_names_cli_key(build, key):
+    with pytest.raises(ValueError) as err:  # ConfigError is a ValueError
+        build()
+    assert isinstance(err.value, ConfigError)
+    assert err.value.key == key
+    assert str(err.value).startswith(f"{key}: ")
 
 
 def test_largest_machines_and_queue_depth_simulate(capsys):

@@ -8,11 +8,10 @@ from gasched import (
     OverloadConfig,
     SchedulerFitnessConfig,
     brute_force_best,
-    enumerate_assignments,
     schedule_fitness,
 )
 from gasched.errors import BudgetError
-from gasched.oracle import assignment_to_matrix
+from gasched.oracle import ENUMERATION_BUDGET, assignment_to_matrix
 from gasched.scheduler_ga import score
 
 
@@ -23,6 +22,35 @@ def fit_cfg(w=2, delta=0):
 # ------------------------------------------------------- reference scan
 # The assignment-by-assignment search that brute_force_best replaced: an
 # independent method to check the load-vector scan against on small sizes.
+
+def enumerate_assignments(job_count, k, m):
+    """Yield every capacity-respecting map of jobs to machines 1..k or
+    ``None`` (drop), in lexicographic order with machines before the drop."""
+    if job_count < 0 or k < 1 or m < 0:
+        raise ValueError("need job_count >= 0, k >= 1, m >= 0")
+    if (k + 1) ** job_count > ENUMERATION_BUDGET:
+        raise BudgetError(
+            f"(k+1)^jobs = {(k + 1) ** job_count} exceeds the {ENUMERATION_BUDGET} budget"
+        )
+
+    assignment = [None] * job_count
+    counts = [0] * (k + 1)
+
+    def walk(idx):
+        if idx == job_count:
+            yield tuple(assignment)
+            return
+        for col in range(1, k + 1):
+            if counts[col] < m:
+                counts[col] += 1
+                assignment[idx] = col
+                yield from walk(idx + 1)
+                counts[col] -= 1
+        assignment[idx] = None
+        yield from walk(idx + 1)
+
+    yield from walk(0)
+
 
 def _assignment_fitness(assignment, k, cfg):
     loads = [0] * k

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasched import (
     Job,
@@ -353,6 +355,31 @@ def test_run_sim_matches_reference_loop_at_benchmark_shapes(k, m):
         cfg = SimConfig(k=k, m=m, send_failure_prob=0.2, horizon=1000, seed=seed)
         jobs = stream_jobs(seed, 1000)
         assert run_sim(cfg, jobs) == _reference_run_sim(cfg, jobs), seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 6), m=st.integers(1, 8), q=st.sampled_from((0.0, 0.2, 0.6)),
+       horizon=st.integers(1, 40), interval=st.integers(1, 5), seed=st.integers(0, 2**16),
+       stream_rows=st.lists(st.tuples(st.integers(0, 39), st.integers(1, 3)), max_size=120))
+def test_at_most_one_job_enters_service_per_tick(k, m, q, horizon, interval, seed, stream_rows):
+    # the queues share one head row, so intake is one job a tick whatever k is
+    jobs = [Job(i, service, arrival % horizon) for i, (arrival, service) in enumerate(stream_rows)]
+    cfg = SimConfig(k=k, m=m, send_failure_prob=q, horizon=horizon, rebalance_interval=interval,
+                    seed=seed, overload=OverloadConfig(w=m // 2, delta=0))
+    state = SimState(cfg)
+    dispatch_rng, tick_rng = stream(seed, "dispatch"), stream(seed, "tick")
+    by_tick = {}
+    for job in jobs:
+        by_tick.setdefault(job.arrival, []).append(job)
+    entered = 0
+    for t in range(horizon):
+        dispatch(state, by_tick.get(t, []), dispatch_rng)
+        tick(state, tick_rng)
+        now = state.completed + state.serving()
+        assert now - entered <= 1, t
+        entered = now
+    metrics = run_sim(cfg, jobs)
+    assert metrics.completed == state.completed <= horizon
 
 
 def test_run_sim_matches_reference_loop_with_ga_rebalance():
