@@ -29,7 +29,7 @@ from .simulator import SimConfig, load_workload, run_sim, trace_csv
 def _key(default: Any, *rules: Rule, flag: bool = False):
     """Declare a run parameter: its default, whose type is the key's type
     (``str`` for a ``None`` default), the range rules that no library config
-    owns, and whether it has a ``--flag`` (bool keys have none)."""
+    owns, and whether it has a ``--flag``."""
     return field(default=default, metadata={"flag": flag, "rules": rules})
 
 
@@ -58,7 +58,6 @@ class RunConfig:
     rebalance_interval: int = _key(10, flag=True)
     horizon: int = _key(100, flag=True)
     max_recalls: int = _key(3)
-    ga_rebalance: bool = _key(False)
     drop_weight: float = _key(100.0)
     overload_weight: float = _key(1.0)
     oracle_sweep: int = _key(20, at_least(1))
@@ -100,7 +99,6 @@ class RunConfig:
             max_recalls=self.max_recalls,
             overload=OverloadConfig(w=self.w, delta=self.delta),
             seed=self.seed,
-            ga_rebalance=self.ga_rebalance,
         )
 
 
@@ -112,10 +110,6 @@ SUBCOMMANDS = ("optimize", "simulate", "oracle-check", "print-config")
 
 def _coerce(key: str, value: Any, provenance: str) -> Any:
     want = _KEY_TYPES[key]
-    if want is bool:
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(key, f"expected true/false ({provenance})")
     if want is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(key, f"expected an integer ({provenance})")
@@ -263,7 +257,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "mean_load": metrics.mean_load,
         "max_load": metrics.max_load,
         "overload_ticks": metrics.overload_ticks,
-        "ga_history": metrics.ga_history,
     }
     _emit(doc, cfg, csv_text=trace_csv(metrics))
     return 0

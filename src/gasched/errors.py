@@ -34,6 +34,7 @@ class ConfigError(GaschedError, ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
         self.key = key
+        self.message = message
 
 
 def at_least(low: int) -> Rule:

@@ -151,38 +151,21 @@ def column_loads(matrix: ScheduleMatrix) -> list[int]:
     return matrix.body.sum(axis=0).tolist()
 
 
-def recall_job(
-    matrix: ScheduleMatrix,
-    job: JobId,
-    rng: random.Random | None = None,
-    uniform: bool = False,
-) -> ScheduleMatrix:
+def recall_job(matrix: ScheduleMatrix, job: JobId) -> ScheduleMatrix:
     """Reinsert a failed job as a single 1 in the last body row.
 
     Placement targets the least-loaded machine (ties to the lowest
-    index); pass ``uniform=True`` with an rng for the stochastic variant
-    used during search.
+    index); no random draw is made.
     """
     out = matrix.copy()
-    _recall_job_inplace(out, column_loads(out), job, rng, uniform)
+    _recall_job_inplace(out, column_loads(out), job)
     return out
 
 
-def _recall_job_inplace(
-    matrix: ScheduleMatrix,
-    loads: list[int],
-    job: JobId,
-    rng: random.Random | None = None,
-    uniform: bool = False,
-) -> None:
+def _recall_job_inplace(matrix: ScheduleMatrix, loads: list[int], job: JobId) -> None:
     if matrix.labels[matrix.m] is not None:
         raise CapacityError("last queue row is occupied; job cannot be recalled now")
-    if uniform:
-        if rng is None:
-            raise ValueError("uniform placement requires an rng")
-        col = rng.randrange(matrix.k)
-    else:
-        col = loads.index(min(loads))
+    col = loads.index(min(loads))
     last = matrix.body[matrix.m - 1]
     for j in np.flatnonzero(last).tolist():  # stray bits of the unlabeled row
         loads[j] -= 1

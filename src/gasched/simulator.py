@@ -13,8 +13,7 @@ mutation/rebalance operators tidy the queues.
 The run state owns its matrix, so ``dispatch`` and ``tick`` edit it in
 place through the in-place cores of the queue operators: after
 ``SimState`` builds the empty matrix, a run constructs no further
-``ScheduleMatrix`` (the optional ``ga_rebalance`` repack aside, whose GA
-decodes matrices of its own).
+``ScheduleMatrix``.
 
 The per-machine body column loads are run state too (``SimState.loads``),
 kept in step with the matrix instead of summed from it on every send and
@@ -23,8 +22,7 @@ into the head row takes one off, and the recall core adds one in place.
 Every ``rebalance_interval`` ticks the loads are summed from the matrix
 once with ``column_loads``: a mismatch with the run state raises
 ``StateError``, and otherwise the mutation/rebalance cores keep that sum
-up to date and it becomes the new run state (only the optional
-``ga_rebalance`` repack sums the matrix again).
+up to date and it becomes the new run state.
 
 A job is always in exactly one place - queued (labeled matrix row), in
 service, completed, or dropped - and the simulation checks that
@@ -41,7 +39,7 @@ import numpy as np
 from .errors import (
     CapacityError, ConfigError, StateError, at_least, check_fields, checked, in_range,
 )
-from .ga_core import GaConfig, stream
+from .ga_core import stream
 from .schedule_matrix import (
     OverloadConfig,
     ScheduleMatrix,
@@ -63,11 +61,11 @@ class Job:
 
     def __post_init__(self):
         if self.id < 0:
-            raise ValueError("job id must be non-negative")
+            raise ConfigError("workload", "job id must be non-negative")
         if self.service_time < 1:
-            raise ValueError("service_time must be >= 1")
+            raise ConfigError("workload", "service_time must be >= 1")
         if self.arrival < 0:
-            raise ValueError("arrival must be non-negative")
+            raise ConfigError("workload", "arrival must be non-negative")
 
 
 @dataclass
@@ -80,7 +78,6 @@ class SimConfig:
     max_recalls: int = checked(at_least(0), default=3)
     overload: OverloadConfig | None = None
     seed: int = 0
-    ga_rebalance: bool = False
 
     def __post_init__(self):
         check_fields(self)
@@ -98,7 +95,6 @@ class SimMetrics:
     mean_load: float = 0.0
     max_load: int = 0
     overload_ticks: int = 0
-    ga_history: list[list[float]] = field(default_factory=list)
     trace: list[tuple[int, int, int, float]] = field(default_factory=list)
 
 
@@ -132,7 +128,6 @@ class SimState:
         self.load_sum = 0.0
         self.max_load = 0
         self.overload_ticks = 0
-        self.ga_history: list[list[float]] = []
         self.trace: list[tuple[int, int, int, float]] = []
 
     def queued(self) -> int:
@@ -201,36 +196,6 @@ def _process_recalls(state: SimState, to_recall: list[int]) -> None:
             state.recalled += 1
 
 
-def _ga_repack(state: SimState, rng: random.Random) -> None:
-    """Optional per-interval mode: re-place the queued jobs with a full
-    GA pass instead of relying on the unary operators alone."""
-    from .scheduler_ga import SchedulerFitnessConfig, SchedulingProblem, optimize_schedule
-
-    rows = [i for i in range(state.matrix.m) if state.matrix.labels[i + 1] is not None]
-    if not rows:
-        return
-    jobs = [
-        Job(state.matrix.labels[i + 1], state.service_time[state.matrix.labels[i + 1]], 0)
-        for i in rows
-    ]
-    problem = SchedulingProblem(
-        jobs=jobs,
-        k=state.cfg.k,
-        m=state.cfg.m,
-        fitness_cfg=SchedulerFitnessConfig(overload=state.cfg.overload),
-        ga_cfg=GaConfig(
-            population_size=16,
-            max_generations=30,
-            elite_count=2,
-            rng_seed=rng.getrandbits(63),
-        ),
-    )
-    result = optimize_schedule(problem)
-    for idx, i in enumerate(rows):
-        state.matrix.body[i, :] = result.matrix.body[idx, :]
-    state.ga_history.append(result.history)
-
-
 def tick(state: SimState, rng: random.Random) -> SimState:
     """Advance the simulation by one time step.
 
@@ -284,9 +249,6 @@ def tick(state: SimState, rng: random.Random) -> SimState:
             )
         _mutate_dropped_rows_inplace(matrix, derived, rng)
         _rebalance_crossover_inplace(matrix, derived, cfg.overload)
-        if cfg.ga_rebalance:
-            _ga_repack(state, rng)
-            derived = column_loads(matrix)
         state.loads = derived
 
     loads = state.loads
@@ -325,7 +287,6 @@ def run_sim(config: SimConfig, workload: list[Job]) -> SimMetrics:
         mean_load=state.load_sum / config.horizon,
         max_load=state.max_load,
         overload_ticks=state.overload_ticks,
-        ga_history=state.ga_history,
         trace=state.trace,
     )
 
@@ -351,16 +312,16 @@ def load_workload(path: str) -> list[Job]:
             job_id, arrival, service = (int(p) for p in parts)
         except ValueError:
             raise ConfigError("workload", f"line {lineno}: fields must be unsigned integers")
-        if min(job_id, arrival, service) < 0:
-            raise ConfigError("workload", f"line {lineno}: fields must be unsigned integers")
-        if service < 1:
-            raise ConfigError("workload", f"line {lineno}: service_time must be >= 1")
+        try:
+            job = Job(id=job_id, service_time=service, arrival=arrival)
+        except ConfigError as exc:
+            raise ConfigError("workload", f"line {lineno}: {exc.message}") from exc
         if job_id in first_line:
             raise ConfigError(
                 "workload", f"line {lineno}: job id {job_id} repeats line {first_line[job_id]}"
             )
         first_line[job_id] = lineno
-        jobs.append(Job(id=job_id, service_time=service, arrival=arrival))
+        jobs.append(job)
     return jobs
 
 

@@ -131,6 +131,7 @@ def test_missing_workload_for_optimize_exits_two(capsys):
          "machines"),
         ([(0, 0, 1)], ["oracle-check", "--machines", "1025"], "machines"),
         ([(0, 0, 1)], ["simulate", "--queue-depth", "4097"], "queue_depth"),
+        ([(0, 0, 1)], ["print-config", "--config", "{tmp}/ga_rebalance.json"], "ga_rebalance"),
     ],
     ids=["zero-service-time", "empty-optimize", "empty-oracle-check",
          "seed-above-64-bits", "sweep-above-64-bits",
@@ -138,11 +139,12 @@ def test_missing_workload_for_optimize_exits_two(capsys):
          "workload-missing", "workload-directory", "workload-not-utf-8",
          "out-directory", "out-in-missing-directory", "format-xml",
          "machines-1e20-simulate", "queue-depth-1e20-simulate", "machines-1e20-optimize",
-         "machines-above-cap", "queue-depth-above-cap"],
+         "machines-above-cap", "queue-depth-above-cap", "removed-key-ga-rebalance"],
 )
 def test_bad_input_exits_two_naming_key(tmp_path, capsys, jobs, argv, key):
     wl = write_workload(tmp_path, jobs)
     (tmp_path / "latin1.txt").write_bytes(b"# caf\xe9\n0 0 1\n")
+    write_config(tmp_path, {"ga_rebalance": True}, "ga_rebalance.json")  # a key since removed
     # a later flag wins, so an argv naming its own --workload overrides wl
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main([argv[0], "--workload", wl, *argv[1:]]) == 2
@@ -496,20 +498,20 @@ def _normalized(out):
             [(i, 0, 1 + i % 3) for i in range(7)],
             ["optimize", "--machines", "3", "--queue-depth", "3", "--w", "2",
              "--delta", "0", "--seed", "5"],
-            "ed304b19c691216b67971f7e4f263fb925971b85376a62a446fb14ef4d0ca9ca",
+            "c19f3a683f1c6485c7aafdfdc988b63871e0fa3d7622ff7330159a1f2e8ba295",
         ),
         (
             [(i, i, 1 + i % 3) for i in range(16)],
             ["simulate", "--machines", "3", "--queue-depth", "4", "--w", "1",
              "--delta", "1", "--horizon", "40", "--send-failure-prob", "0.3",
              "--rebalance-interval", "3", "--seed", "4", "--format", "both"],
-            "c37fbb51a2155278a344581864f399e8e28039195b3715aa0a661f326274f2be",
+            "bdbd70908813ba756c2a6e4d67a28afa86ec875c3c32e962e79490b3ade0333f",
         ),
         (
             [(i, 0, 1) for i in range(6)],
             ["oracle-check", "--machines", "3", "--queue-depth", "2", "--w", "1",
              "--delta", "1", "--seed", "2"],
-            "b58ce1781be6c202876037ac8ebd5662fa06ebc18cb8649e2cae1f1af074142f",
+            "6a988ceb358056525c279809ba971da55f305748d6512e4dc5c58f0a6f67c9d8",
         ),
         (
             # 240-bit genomes, several machine words; the GA improves
@@ -517,7 +519,7 @@ def _normalized(out):
             [(i, 0, 1 + i % 4) for i in range(40)],
             ["optimize", "--machines", "6", "--queue-depth", "8", "--w", "6",
              "--delta", "1", "--seed", "2"],
-            "f9f941470e7540cd10d3679b258ec7edcf67067e09be32f6e5ecd1c52703ba92",
+            "4867b184b4a461ee3284cfb078867ce8053c89c6096953c2e272db5a56536982",
         ),
     ],
     ids=["optimize", "simulate", "oracle-check", "optimize-240-bits"],
@@ -558,8 +560,6 @@ def _key_values(tmp_path, key, default):
         non_str = _NON_INT.filter(lambda v: not isinstance(v, str)) | st.integers()
         paths = st.just(usual) | st.sampled_from([usual, *other])
         return paths, paths | non_str
-    if isinstance(default, bool):
-        return st.booleans(), _ANY_VALUE
     if isinstance(default, int):
         return st.integers(1, 2), _ANY_VALUE
     if isinstance(default, float):

@@ -87,9 +87,7 @@ def _complete_case(rng, matrix):
 def _recall_case(rng, matrix):
     matrix.body[-1] = 0
     matrix.labels[-1] = None
-    uniform = rng.random() < 0.5
-    seed = rng.getrandbits(32)
-    return recall_job, _recall_job_inplace, lambda: (999, random.Random(seed), uniform), True
+    return recall_job, _recall_job_inplace, lambda: (999,), True
 
 
 def _mutate_case(rng, matrix):
@@ -248,15 +246,6 @@ def test_recall_core_takes_stray_bits_of_unlabeled_last_row_off_loads():
     _recall_job_inplace(m, loads, 7)
     assert m.body[1].tolist() == [1, 0, 0]  # loads [1, 1, 1] before: ties to column 1
     assert loads == column_loads(m) == [2, 0, 0]
-
-
-def test_recall_uniform_mode_uses_rng():
-    m = ScheduleMatrix.empty(1, 4)
-    cols = set()
-    for seed in range(40):
-        out = recall_job(m, 1, random.Random(seed), uniform=True)
-        cols.add(int(np.argmax(out.body[0])))
-    assert cols == {0, 1, 2, 3}
 
 
 # ------------------------------------------------------------- repair_rows

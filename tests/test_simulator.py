@@ -27,7 +27,7 @@ from gasched import (
 from gasched import simulator
 from gasched.errors import CapacityError, ConfigError, StateError
 from gasched.ga_core import stream
-from gasched.simulator import SimState, _ga_repack
+from gasched.simulator import SimState
 
 
 def sim_cfg(**kwargs):
@@ -117,8 +117,6 @@ def _reference_tick(state, rng):
     if state.tick_count % cfg.rebalance_interval == 0:
         state.matrix = mutate_dropped_rows(state.matrix, rng)
         state.matrix, _ = rebalance_crossover(state.matrix, cfg.overload)
-        if cfg.ga_rebalance:
-            _ga_repack(state, rng)
     loads = column_loads(state.matrix)
     mean_load = sum(loads) / cfg.k
     state.load_sum += mean_load
@@ -148,7 +146,6 @@ def _reference_run_sim(config, workload):
         mean_load=state.load_sum / config.horizon,
         max_load=state.max_load,
         overload_ticks=state.overload_ticks,
-        ga_history=state.ga_history,
         trace=state.trace,
     )
 
@@ -316,16 +313,6 @@ def test_rebalance_interval_never_breaks_conservation_or_overloads():
     assert metrics.completed + metrics.dropped <= 40
 
 
-def test_ga_rebalance_mode_records_history():
-    jobs = [Job(i, 3, 0) for i in range(4)]
-    cfg = sim_cfg(k=2, m=6, send_failure_prob=0.6, horizon=30, seed=5,
-                  rebalance_interval=5, ga_rebalance=True,
-                  overload=OverloadConfig(w=2, delta=0))
-    metrics = run_sim(cfg, jobs)
-    assert metrics.ga_history  # at least one GA pass ran
-    assert all(isinstance(h, list) and h for h in metrics.ga_history)
-
-
 @pytest.mark.parametrize("k,m", list(itertools.product((1, 3, 16), (1, 6, 256))))
 def test_run_sim_matches_reference_loop(k, m):
     horizon = m + 100  # long enough for a job entering the deepest row to reach the head
@@ -382,16 +369,6 @@ def test_at_most_one_job_enters_service_per_tick(k, m, q, horizon, interval, see
     assert metrics.completed == state.completed <= horizon
 
 
-def test_run_sim_matches_reference_loop_with_ga_rebalance():
-    jobs = bursty_jobs(3, 40)
-    cfg = sim_cfg(k=2, m=6, send_failure_prob=0.4, horizon=40, seed=5,
-                  rebalance_interval=5, ga_rebalance=True,
-                  overload=OverloadConfig(w=2, delta=0))
-    metrics = run_sim(cfg, jobs)
-    assert metrics.ga_history
-    assert metrics == _reference_run_sim(cfg, jobs)
-
-
 def test_run_sim_builds_one_matrix_per_run(monkeypatch):
     built = []
     original = ScheduleMatrix.__post_init__
@@ -439,14 +416,6 @@ def test_loads_state_equals_column_loads_after_every_call(k, m):
     assert served > 0  # queued jobs did reach the head row, each taking one off loads
     if m <= 6:
         assert recalled > 0
-
-
-def test_loads_state_equals_column_loads_with_ga_rebalance():
-    cfg = sim_cfg(k=2, m=6, send_failure_prob=0.4, horizon=40, seed=5,
-                  rebalance_interval=5, ga_rebalance=True,
-                  overload=OverloadConfig(w=2, delta=0))
-    state = _run_checking_loads(cfg, bursty_jobs(3, 40))
-    assert state.ga_history
 
 
 @pytest.mark.parametrize("corrupt", ["loads", "matrix"])
@@ -534,6 +503,16 @@ def test_workload_parser_rejects_bad_lines(tmp_path):
         load_workload(str(path))
     path.write_text("a b c\n")
     with pytest.raises(ConfigError):
+        load_workload(str(path))
+
+
+def test_job_range_error_is_a_workload_config_error(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        Job(0, 0, 0)
+    assert err.value.key == "workload"
+    path = tmp_path / "jobs.txt"
+    path.write_text("0 0 1\n-1 0 1\n")
+    with pytest.raises(ConfigError, match="^workload: line 2: job id must be non-negative$"):
         load_workload(str(path))
 
 
