@@ -5,6 +5,11 @@ which override the documented defaults; unknown file keys are rejected.
 Every output document embeds the resolved config and seed so a run can
 be reproduced byte for byte.
 
+``RunConfig`` declares each key once. A key that a library config field
+reads takes its default from that field, and each library config is built
+from the keys its fields name (``errors.checked``); only per-call values
+(a GA run's seed, the jobs and the nested configs) are passed by hand.
+
 Exit codes: 0 success, 1 GA-vs-oracle mismatch, 2 configuration error.
 """
 
@@ -18,7 +23,9 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-from .errors import BudgetError, ConfigError, GaschedError, Rule, at_least, check_fields, in_range
+from .errors import (
+    BudgetError, ConfigError, GaschedError, Rule, at_least, check_fields, in_range, keyed_fields,
+)
 from .ga_core import GaConfig
 from .oracle import brute_force_best
 from .schedule_matrix import OverloadConfig, to_text
@@ -29,7 +36,8 @@ from .simulator import SimConfig, load_workload, run_sim, trace_csv
 def _key(default: Any, *rules: Rule, flag: bool = False):
     """Declare a run parameter: its default, whose type is the key's type
     (``str`` for a ``None`` default), the range rules that no library config
-    owns, and whether it has a ``--flag``."""
+    owns, and whether it has a ``--flag``. A key that a library config field
+    reads takes that field's default, as ``_key(GaConfig.mutation_rate)``."""
     return field(default=default, metadata={"flag": flag, "rules": rules})
 
 
@@ -40,26 +48,26 @@ def _one_of(*choices: str) -> Rule:
 @dataclass
 class RunConfig:
     subcommand: str
-    seed: int = _key(0, flag=True)
+    seed: int = _key(GaConfig.rng_seed, flag=True)
     generations: int = _key(200, flag=True)
     population: int = _key(40, flag=True)
-    mutation_rate: float = _key(0.05, flag=True)
-    crossover_rate: float = _key(0.9, flag=True)
-    elite_count: int = _key(2)
-    stagnation_window: int = _key(10)
-    stagnation_tol: float = _key(0.0)
+    mutation_rate: float = _key(GaConfig.mutation_rate, flag=True)
+    crossover_rate: float = _key(GaConfig.crossover_rate, flag=True)
+    elite_count: int = _key(GaConfig.elite_count)
+    stagnation_window: int = _key(GaConfig.stagnation_window)
+    stagnation_tol: float = _key(GaConfig.stagnation_tol)
     # the caps keep a simulated (queue_depth x machines) matrix at 4 MB and a
     # genome row at 1024 bits, and reject a huge value before anything is built
     machines: int = _key(3, in_range(1, 1024), flag=True)
     queue_depth: int = _key(3, in_range(1, 4096), flag=True)
     w: int = _key(2, flag=True)
     delta: int = _key(1, flag=True)
-    send_failure_prob: float = _key(0.0, flag=True)
-    rebalance_interval: int = _key(10, flag=True)
-    horizon: int = _key(100, flag=True)
-    max_recalls: int = _key(3)
-    drop_weight: float = _key(100.0)
-    overload_weight: float = _key(1.0)
+    send_failure_prob: float = _key(SimConfig.send_failure_prob, flag=True)
+    rebalance_interval: int = _key(SimConfig.rebalance_interval, flag=True)
+    horizon: int = _key(SimConfig.horizon, flag=True)
+    max_recalls: int = _key(SimConfig.max_recalls)
+    drop_weight: float = _key(SchedulerFitnessConfig.drop_weight)
+    overload_weight: float = _key(SchedulerFitnessConfig.overload_weight)
     oracle_sweep: int = _key(20, at_least(1))
     workload: str | None = _key(None, flag=True)
     out: str | None = _key(None, flag=True)
@@ -70,36 +78,19 @@ class RunConfig:
         doc.pop("subcommand")
         return doc
 
+    def _build(self, cls: type, **given: Any) -> Any:
+        """Build ``cls``, each field that names a key (``errors.checked``)
+        taking that key's value, and the ``given`` fields as given."""
+        return cls(**{name: getattr(self, key) for name, key, _ in keyed_fields(cls)} | given)
+
     def ga_config(self, seed: int) -> GaConfig:
-        return GaConfig(
-            population_size=self.population,
-            max_generations=self.generations,
-            crossover_rate=self.crossover_rate,
-            mutation_rate=self.mutation_rate,
-            elite_count=self.elite_count,
-            stagnation_window=self.stagnation_window,
-            stagnation_tol=self.stagnation_tol,
-            rng_seed=seed,
-        )
+        return self._build(GaConfig, rng_seed=seed)
 
     def fitness_config(self) -> SchedulerFitnessConfig:
-        return SchedulerFitnessConfig(
-            overload=OverloadConfig(w=self.w, delta=self.delta),
-            drop_weight=self.drop_weight,
-            overload_weight=self.overload_weight,
-        )
+        return self._build(SchedulerFitnessConfig, overload=self._build(OverloadConfig))
 
     def sim_config(self) -> SimConfig:
-        return SimConfig(
-            k=self.machines,
-            m=self.queue_depth,
-            send_failure_prob=self.send_failure_prob,
-            rebalance_interval=self.rebalance_interval,
-            horizon=self.horizon,
-            max_recalls=self.max_recalls,
-            overload=OverloadConfig(w=self.w, delta=self.delta),
-            seed=self.seed,
-        )
+        return self._build(SimConfig, overload=self._build(OverloadConfig))
 
 
 _KEYS = [f for f in fields(RunConfig) if f.metadata]
@@ -223,13 +214,8 @@ def _load_jobs(cfg: RunConfig) -> list:
 
 
 def _make_problem(cfg: RunConfig, jobs, seed: int) -> SchedulingProblem:
-    return SchedulingProblem(
-        jobs=jobs,
-        k=cfg.machines,
-        m=cfg.queue_depth,
-        fitness_cfg=cfg.fitness_config(),
-        ga_cfg=cfg.ga_config(seed),
-    )
+    return cfg._build(SchedulingProblem, jobs=jobs, fitness_cfg=cfg.fitness_config(),
+                      ga_cfg=cfg.ga_config(seed))
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
@@ -249,15 +235,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     jobs = load_workload(cfg.workload) if cfg.workload is not None else []
     metrics = run_sim(cfg.sim_config(), jobs)
-    doc = {
-        "completed": metrics.completed,
-        "dropped": metrics.dropped,
-        "recalls": metrics.recalls,
-        "send_failures": metrics.send_failures,
-        "mean_load": metrics.mean_load,
-        "max_load": metrics.max_load,
-        "overload_ticks": metrics.overload_ticks,
-    }
+    doc = {f.name: getattr(metrics, f.name) for f in fields(metrics) if f.name != "trace"}
     _emit(doc, cfg, csv_text=trace_csv(metrics))
     return 0
 

@@ -46,9 +46,10 @@ def in_range(low: int, high: int) -> Rule:
 
 
 def checked(*rules: Rule, key: str | None = None, **kwargs: Any) -> Any:
-    """Declare a dataclass field with its range rules, ``(predicate,
-    message)`` pairs that :func:`check_fields` enforces. Errors name
-    ``key``, the CLI key the value comes from (by default the field name)."""
+    """Declare a dataclass field as a run parameter with its range rules,
+    ``(predicate, message)`` pairs that :func:`check_fields` enforces.
+    ``key`` is the CLI key the value comes from (by default the field
+    name): errors name it, and the CLI fills the field from it."""
     return field(metadata={"key": key, "rules": rules}, **kwargs)
 
 
@@ -61,6 +62,15 @@ def check_fields(obj: Any) -> None:
 
 
 @functools.cache  # configs are built per GA run: fields() on each build doubles their cost
+def keyed_fields(cls: type) -> list[tuple[str, str, tuple[Rule, ...]]]:
+    """``(field name, CLI key, rules)`` of each field of the dataclass
+    ``cls`` whose metadata holds rules (see :func:`checked`), in field
+    order."""
+    return [(f.name, f.metadata.get("key") or f.name, f.metadata["rules"])
+            for f in fields(cls) if "rules" in f.metadata]
+
+
+@functools.cache
 def _rules(cls: type) -> list[tuple[str, str, Callable[[Any], bool], str]]:
-    return [(f.name, f.metadata.get("key") or f.name, ok, message)
-            for f in fields(cls) for ok, message in f.metadata.get("rules", ())]
+    return [(name, key, ok, message)
+            for name, key, rules in keyed_fields(cls) for ok, message in rules]

@@ -106,7 +106,6 @@ class Individual:
 @dataclass
 class Population:
     members: list[Individual]
-    generation: int = 0
 
     def __post_init__(self):
         if len(self.members) < 2:
@@ -114,17 +113,14 @@ class Population:
         length = len(self.members[0].genome)
         if any(len(ind.genome) != length for ind in self.members):
             raise DimensionError("all genomes in a population must share one length")
-        if self.generation < 0:
-            raise ValueError("generation must be non-negative")
 
     @classmethod
-    def _from_members(cls, members: list[Individual], generation: int) -> "Population":
+    def _from_members(cls, members: list[Individual]) -> "Population":
         """Trusted constructor for the GA loop, whose members come from a
         validated population or from operators that keep genome length;
         checks nothing."""
         population = object.__new__(cls)
         population.members = members
-        population.generation = generation
         return population
 
     @property
@@ -180,7 +176,7 @@ def evaluate(population: Population, fitness: FitnessFunction) -> Population:
         if not math.isfinite(value):
             raise ValueError("fitness values must be finite")
         members.append(Individual(ind.genome, value))
-    return Population._from_members(members, population.generation)
+    return Population._from_members(members)
 
 
 def _indices_below(rng: random.Random, n: int, count: int) -> list[int]:
@@ -287,7 +283,7 @@ def step_generation(
             child = a.genome if a.fitness <= b.fitness else b.genome
         child = mutate(child, mutation_rate, rng)
         children.append(Individual(child))
-    nxt = Population._from_members(selection.elites + children, population.generation + 1)
+    nxt = Population._from_members(selection.elites + children)
     return evaluate(nxt, fitness)
 
 
@@ -323,7 +319,7 @@ def run(
     init_rng = stream(config.rng_seed, "init")
     evolve_rng = stream(config.rng_seed, "evolve")
     members = [Individual(initializer(init_rng)) for _ in range(config.population_size)]
-    population = evaluate(Population(members, generation=0), fitness)
+    population = evaluate(Population(members), fitness)
     top = _best(population)
     best = Individual(top.genome, top.fitness)
     history = [top.fitness]

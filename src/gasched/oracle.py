@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BudgetError
+from .errors import BudgetError, ConfigError
 from .scheduler_ga import SchedulerFitnessConfig, schedule_fitness, score
-from .schedule_matrix import ScheduleMatrix
+from .schedule_matrix import ScheduleMatrix, check_shape
 
 import numpy as np
 
@@ -62,10 +62,11 @@ def brute_force_best(
     """Exact optimum over every capacity-respecting assignment, how many
     assignments attain it, and a witness: machine 1's jobs, then machine
     2's, and so on, then the drops (see the module docstring)."""
+    check_shape(k, m, cfg.overload)
+    if job_count < 0:
+        raise ConfigError("workload", "job count must be >= 0")
     if job_count == 0:
         return OracleResult(optimum=0.0, witness=(), count=1)
-    if job_count < 0 or k < 1 or m < 0:
-        raise ValueError("need job_count >= 0, k >= 1, m >= 0")
     top = min(m, job_count)
     vectors = math.comb(top + k, k)
     if vectors > ENUMERATION_BUDGET:

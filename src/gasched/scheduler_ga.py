@@ -46,8 +46,8 @@ class SchedulerFitnessConfig:
 @dataclass
 class SchedulingProblem:
     jobs: Sequence["Job"]
-    k: int
-    m: int
+    k: int = checked(key="machines")
+    m: int = checked(key="queue_depth")
     fitness_cfg: SchedulerFitnessConfig
     ga_cfg: GaConfig
 

@@ -34,8 +34,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     CapacityError, ConfigError, StateError, at_least, check_fields, checked, in_range,
 )
@@ -43,7 +41,6 @@ from .ga_core import stream
 from .schedule_matrix import (
     OverloadConfig,
     ScheduleMatrix,
-    _complete_heads_inplace,
     _mutate_dropped_rows_inplace,
     _rebalance_crossover_inplace,
     _recall_job_inplace,
@@ -70,14 +67,14 @@ class Job:
 
 @dataclass
 class SimConfig:
-    k: int
-    m: int
+    k: int = checked(key="machines")
+    m: int = checked(key="queue_depth")
     send_failure_prob: float = checked(in_range(0, 1), default=0.0)
     rebalance_interval: int = checked(at_least(1), default=10)
     horizon: int = checked(at_least(1), default=100)
     max_recalls: int = checked(at_least(0), default=3)
     overload: OverloadConfig | None = None
-    seed: int = 0
+    seed: int = checked(default=0)
 
     def __post_init__(self):
         check_fields(self)
@@ -181,19 +178,18 @@ def dispatch(state: SimState, arrivals: list[Job], rng: random.Random) -> SimSta
     return state
 
 
-def _process_recalls(state: SimState, to_recall: list[int]) -> None:
-    for job in to_recall:
-        used = state.recall_counts.get(job, 0)
-        if used >= state.cfg.max_recalls:
-            state.dropped += 1
-            continue
-        try:
-            _recall_job_inplace(state.matrix, state.loads, job)
-        except CapacityError:
-            state.dropped += 1
-        else:
-            state.recall_counts[job] = used + 1
-            state.recalled += 1
+def _recall(state: SimState, job: int) -> None:
+    used = state.recall_counts.get(job, 0)
+    if used >= state.cfg.max_recalls:
+        state.dropped += 1
+        return
+    try:
+        _recall_job_inplace(state.matrix, state.loads, job)
+    except CapacityError:
+        state.dropped += 1
+    else:
+        state.recall_counts[job] = used + 1
+        state.recalled += 1
 
 
 def tick(state: SimState, rng: random.Random) -> SimState:
@@ -218,26 +214,28 @@ def tick(state: SimState, rng: random.Random) -> SimState:
                 state.in_service[j] = None
                 state.completed += 1
 
-    # row tests use np.count_nonzero: one C call (~0.4 us) against ~1.3 us for ndarray.any
-    # a failed job shifted into the head last tick is recalled now
-    if matrix.labels[0] is not None and not np.count_nonzero(matrix.head):
-        _, to_recall = _complete_heads_inplace(matrix)
-        _process_recalls(state, to_recall)
+    # A head row is all zero when a tick starts: the shift below clears the
+    # row of a job it moves into service, and a failed send's row has no 1.
+    # So a labeled head is a failed job shifted in last tick, recalled now.
+    job = matrix.labels[0]
+    if job is not None:
+        matrix.labels[0] = None
+        _recall(state, job)
 
-    # advance the queues unless the next job's machine is still busy
-    if matrix.labels[0] is None and not np.count_nonzero(matrix.head):
-        row = matrix.body[0]
-        machine = int(row.argmax())
-        queued = matrix.labels[1] is not None and row[machine] != 0
-        if not (queued and state.remaining[machine] > 0):
-            _shift_up_inplace(matrix)
-            if queued:  # the job shifted into the head row goes into service
-                job = matrix.labels[0]
-                state.loads[machine] -= 1  # the job has left its machine's queue
-                matrix.head[:] = 0
-                matrix.labels[0] = None
-                state.in_service[machine] = job
-                state.remaining[machine] = state.service_time[job]
+    # advance the queues unless the next job's machine is still busy; the
+    # shift raises StateError if the head row still holds a 1
+    row = matrix.body[0]
+    machine = int(row.argmax())
+    queued = matrix.labels[1] is not None and row[machine] != 0
+    if not (queued and state.remaining[machine] > 0):
+        _shift_up_inplace(matrix)
+        if queued:  # the job shifted into the head row goes into service
+            job = matrix.labels[0]
+            state.loads[machine] -= 1  # the job has left its machine's queue
+            matrix.head[:] = 0
+            matrix.labels[0] = None
+            state.in_service[machine] = job
+            state.remaining[machine] = state.service_time[job]
 
     state.tick_count += 1
     if state.tick_count % cfg.rebalance_interval == 0:

@@ -18,8 +18,9 @@ from gasched import (
     SchedulerFitnessConfig,
     SchedulingProblem,
     SimConfig,
+    brute_force_best,
 )
-from gasched.cli import SUBCOMMANDS, RunConfig, main, parse_config
+from gasched.cli import SUBCOMMANDS, RunConfig, _make_problem, main, parse_config
 from gasched.errors import ConfigError
 
 
@@ -204,6 +205,10 @@ def _problem(k=2, m=2, w=1, delta=0, jobs=(Job(0, 1, 0),)):
     return SchedulingProblem(jobs=list(jobs), k=k, m=m, fitness_cfg=fitness_cfg, ga_cfg=_ga())
 
 
+def _fit(w=1, delta=0):
+    return SchedulerFitnessConfig(overload=OverloadConfig(w=w, delta=delta))
+
+
 # library configs name the CLI key a bad value comes from, whatever the field is called
 _LIBRARY_ERRORS = [
     ("GaConfig.population_size", lambda: _ga(population_size=1), "population"),
@@ -241,6 +246,12 @@ _LIBRARY_ERRORS = [
      "w"),
     ("SimConfig.delta-above-k",
      lambda: SimConfig(k=2, m=2, overload=OverloadConfig(w=0, delta=3)), "delta"),
+    ("brute_force_best.k", lambda: brute_force_best(3, 0, 2, _fit()), "machines"),
+    ("brute_force_best.k-no-jobs", lambda: brute_force_best(0, 0, 2, _fit()), "machines"),
+    ("brute_force_best.m", lambda: brute_force_best(3, 2, 0, _fit(w=0)), "queue_depth"),
+    ("brute_force_best.w-above-m", lambda: brute_force_best(3, 2, 2, _fit(w=3)), "w"),
+    ("brute_force_best.delta-above-k", lambda: brute_force_best(3, 2, 2, _fit(delta=3)), "delta"),
+    ("brute_force_best.job_count", lambda: brute_force_best(-1, 2, 2, _fit()), "workload"),
 ]
 
 
@@ -252,6 +263,45 @@ def test_library_config_error_names_cli_key(build, key):
     assert isinstance(err.value, ConfigError)
     assert err.value.key == key
     assert str(err.value).startswith(f"{key}: ")
+
+
+# every key set apart from its default and from every other key's value
+_EVERY_KEY = {
+    "seed": 11, "generations": 12, "population": 13, "mutation_rate": 0.14,
+    "crossover_rate": 0.15, "elite_count": 4, "stagnation_window": 17, "stagnation_tol": 0.18,
+    "machines": 5, "queue_depth": 6, "w": 3, "delta": 2, "send_failure_prob": 0.19,
+    "rebalance_interval": 7, "horizon": 21, "max_recalls": 8, "drop_weight": 23.0,
+    "overload_weight": 0.24, "oracle_sweep": 9, "workload": "jobs.txt", "out": "out.json",
+    "format": "csv",
+}
+
+
+def test_every_key_lands_on_its_library_field(tmp_path):
+    assert _EVERY_KEY.keys() == _KNOWN_KEYS.keys()
+    assert all(_EVERY_KEY[key] != default for key, default in _KNOWN_KEYS.items())
+    assert len(set(_EVERY_KEY.values())) == len(_EVERY_KEY)
+    cfg = parse_config(["simulate", "--config", write_config(tmp_path, _EVERY_KEY)])
+    assert cfg.resolved() == _EVERY_KEY
+    ga = GaConfig(population_size=13, max_generations=12, crossover_rate=0.15,
+                  mutation_rate=0.14, elite_count=4, stagnation_window=17, stagnation_tol=0.18,
+                  rng_seed=99)
+    overload = OverloadConfig(w=3, delta=2)
+    fitness = SchedulerFitnessConfig(overload=overload, drop_weight=23.0, overload_weight=0.24)
+    assert cfg.ga_config(99) == ga
+    assert cfg.fitness_config() == fitness
+    assert cfg.sim_config() == SimConfig(k=5, m=6, send_failure_prob=0.19, rebalance_interval=7,
+                                         horizon=21, max_recalls=8, overload=overload, seed=11)
+    jobs = [Job(0, 1, 0)]
+    assert _make_problem(cfg, jobs, 99) == SchedulingProblem(
+        jobs=jobs, k=5, m=6, fitness_cfg=fitness, ga_cfg=ga)
+
+
+def test_default_keys_build_the_library_defaults():
+    cfg = parse_config(["print-config"])
+    overload = OverloadConfig(w=2, delta=1)
+    assert cfg.ga_config(cfg.seed) == GaConfig(population_size=40, max_generations=200)
+    assert cfg.fitness_config() == SchedulerFitnessConfig(overload=overload)
+    assert cfg.sim_config() == SimConfig(k=3, m=3, overload=overload)
 
 
 def test_largest_machines_and_queue_depth_simulate(capsys):

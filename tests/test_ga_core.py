@@ -115,8 +115,6 @@ def test_public_population_constructor_still_validates():
         make_population([(0, 1)])
     with pytest.raises(DimensionError):
         make_population([(0, 1), (0, 1, 1)])
-    with pytest.raises(ValueError):
-        Population([Individual(Genome((0,))), Individual(Genome((1,)))], generation=-1)
 
 
 def test_run_validates_only_the_initial_population(monkeypatch):
@@ -124,14 +122,14 @@ def test_run_validates_only_the_initial_population(monkeypatch):
     validate = Population.__post_init__
 
     def counted(self):
-        checks.append(self.generation)
+        checks.append(self.size)
         validate(self)
 
     monkeypatch.setattr(Population, "__post_init__", counted)
     cfg = GaConfig(population_size=6, max_generations=5, stagnation_window=50)
     _, history = run(lambda r: random_genome(12, r), popcount_fitness(12), cfg)
     assert len(history) == 5
-    assert checks == [0]
+    assert checks == [6]
 
 
 # -------------------------------------------------------- select_parents
@@ -303,7 +301,6 @@ def test_step_generation_cloning_mode():
     nxt = step_generation(pop, popcount_fitness(10), cfg, random.Random(8))
     # children are verbatim clones of existing members
     assert all(ind.genome.bits in originals for ind in nxt.members)
-    assert nxt.generation == pop.generation + 1
 
 
 def test_step_generation_reaches_popcount_optimum():

@@ -221,6 +221,16 @@ def test_tick_on_empty_state_only_advances_counter():
     assert state.completed == state.dropped == 0
 
 
+def test_tick_raises_on_a_one_in_an_unlabeled_head_row():
+    # a tick starts with an all-zero head row; a 1 left there would stop
+    # every shift, so the queue would freeze without a word
+    state = SimState(sim_cfg())
+    dispatch(state, [Job(0, 1, 0)], random.Random(0))
+    state.matrix.head[0] = 1
+    with pytest.raises(StateError, match="head row"):
+        tick(state, random.Random(0))
+
+
 def test_all_jobs_complete_without_failures():
     # paced unit-service jobs drain completely through the queue pipeline
     jobs = paced_jobs(12)
