@@ -3,7 +3,7 @@
 Fitness is minimized everywhere. All stochastic operators draw from
 ``random.Random`` instances; :func:`run` derives one stream per concern
 from the root seed (tagged string seeding), so a given ``(config, seed,
-fitness)`` triple always reproduces the same output on any platform.
+fitness)`` triple always reproduces the same output.
 
 A :class:`Genome` is stored as one Python ``int`` bit mask plus its
 length: bit ``i`` of the mask is position ``i`` of the genome (for a
@@ -15,7 +15,11 @@ work with integer operations instead of per-bit tuples.
 
 Bounded index draws (tournament entrants, random placements) use
 ``getrandbits`` with rejection, which is ``randrange``'s own rule, so
-runs stay reproducible draw for draw.
+runs stay reproducible draw for draw. :func:`mutate` flips each position
+with probability ``mutation_rate/2`` and draws about once per flip, not
+once per position: it walks the geometric gaps between flips, computed
+with ``math.log``, so bit-identical output across platforms also rests
+on the platform's ``log``.
 """
 
 from __future__ import annotations
@@ -133,10 +137,10 @@ class GaConfig:
     """Knobs for one GA run.
 
     ``mutation_rate`` is the per-bit probability that a position is
-    resampled to a fresh uniform bit (so an actual flip happens with half
-    that probability). Stagnation halts the run once the best fitness has
-    moved by at most ``stagnation_tol`` over ``stagnation_window``
-    consecutive steps.
+    resampled to a fresh uniform bit, so each position flips with
+    probability ``mutation_rate/2``; :func:`mutate` draws about once per
+    flip. Stagnation halts the run once the best fitness has moved by at
+    most ``stagnation_tol`` over ``stagnation_window`` consecutive steps.
     """
 
     population_size: int = checked(at_least(2), key="population")
@@ -242,19 +246,33 @@ def crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
 def mutate(genome: Genome, rate: float, rng: random.Random) -> Genome:
     """Resample each position to a fresh uniform bit with probability ``rate``.
 
-    A selected position keeps its value half the time; length is preserved.
+    A resampled position keeps its value half the time, so each position
+    flips independently with probability ``p = rate/2``; length is
+    preserved. The flip positions are walked directly: the gap before the
+    next flip is geometric, drawn by inversion as
+    ``floor(log(1 - U) / log1p(-p))`` from one ``rng.random()`` (Devroye
+    1986, *Non-Uniform Random Variate Generation*), so a call draws once
+    per flip plus once to end the walk, not once per position.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mutation rate must lie in [0, 1]")
-    if rate == 0.0:
+    log_keep = math.log1p(-rate / 2)
+    if log_keep == 0.0:  # rate 0, or rate/2 underflows: no position can flip
         return genome
-    mask = genome.mask
-    flips = 0
+    length = genome.length
+    log = math.log
     draw = rng.random
-    for i in range(genome.length):
-        if draw() < rate and rng.getrandbits(1) != (mask >> i) & 1:
-            flips |= 1 << i
-    return Genome._from_mask(mask ^ flips, genome.length) if flips else genome
+    flips = 0
+    i = -1  # the last flipped position
+    while True:
+        # a gap too large for an int (a subnormal rate) is inf here, and
+        # it is compared as a float, so it ends the walk
+        gap = log(1.0 - draw()) / log_keep
+        if gap >= length - 1 - i:
+            break
+        i += 1 + int(gap)
+        flips |= 1 << i
+    return Genome._from_mask(genome.mask ^ flips, length) if flips else genome
 
 
 def step_generation(
@@ -267,7 +285,7 @@ def step_generation(
 
     Each non-elite slot takes a crossover child (with probability
     ``crossover_rate``, otherwise a clone of the better parent), then
-    per-bit mutation, then evaluation.
+    mutation, then evaluation.
     """
     if population.size != config.population_size:
         raise ValueError("population size does not match config.population_size")

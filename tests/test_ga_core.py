@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gasched import (
@@ -275,8 +275,20 @@ def test_mutate_can_reproduce_a_specific_mask():
 
 @settings(max_examples=100)
 @given(genomes, st.floats(0, 1), st.integers(0, 2**32))
+@example(Genome((0, 1) * 20), 5e-324, 0)
+@example(Genome((0, 1) * 20), 1e-310, 0)
 def test_mutate_preserves_length(g, rate, seed):
     assert len(mutate(g, rate, random.Random(seed))) == len(g)
+
+
+@pytest.mark.parametrize("rate", (5e-324, 1e-310, 1e-300))
+@pytest.mark.parametrize("length", (1, 800))
+def test_mutate_at_the_smallest_rates_flips_nothing(length, rate):
+    # at 5e-324 rate/2 underflows to 0; at 1e-310 the gap before the first
+    # flip overflows a float; at 1e-300 it is finite but far past the end
+    for seed in range(20):
+        g = random_genome(length, random.Random(seed))
+        assert mutate(g, rate, random.Random(seed)) is g
 
 
 # ------------------------------------------------------- step_generation

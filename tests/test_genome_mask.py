@@ -1,16 +1,20 @@
 """A genome is an int bit mask: value semantics, and equivalence with the
 tuple-of-bits operators it replaced.
 
-The ``_ref_*`` functions below are the GA operators as they were written
-over tuples of bits, one bit at a time. They are kept here as an
-independent statement of what each operator computes and in which order
-it draws from its RNG; the mask operators must give the same bits and
-leave the RNG in the same state after every call.
+The ``_ref_*`` functions below are the GA operators written over tuples
+of bits, one bit at a time. They are kept here as an independent
+statement of what each operator computes and in which order it draws
+from its RNG; the mask operators must give the same bits and leave the
+RNG in the same state after every call. ``_per_bit_mutate`` is the
+mutation rule the gap walk replaced; the distribution test holds both
+to the same flip frequencies.
 """
 
 import dataclasses
+import math
 import random
 
+import numpy as np
 import pytest
 
 from gasched import (
@@ -50,14 +54,31 @@ def _ref_crossover(a, b, rng):
 
 
 def _ref_mutate(bits, rate, rng):
+    # each position flips with probability p = rate/2; the number of kept
+    # positions before the next flip is geometric, floor(log(1-U)/log(1-p))
     if rate == 0.0:
         return bits
+    log_keep = math.log1p(-rate / 2)
+    if log_keep == 0.0:
+        return bits
+    bits = list(bits)
+    pos = 0  # the first position the next flip may land on
+    while True:
+        skip = math.log(1.0 - rng.random()) / log_keep
+        if skip >= len(bits) - pos:
+            return tuple(bits)
+        pos += math.floor(skip)
+        bits[pos] = 1 - bits[pos]
+        pos += 1
+
+
+def _per_bit_mutate(bits, rate, rng):
+    # the rule the gap walk replaced: one random() per position, and a
+    # resampled position takes a fresh getrandbits(1) bit
     bits = list(bits)
     for i in range(len(bits)):
         if rng.random() < rate:
-            fresh = rng.getrandbits(1)
-            if fresh != bits[i]:
-                bits[i] = fresh
+            bits[i] = rng.getrandbits(1)
     return tuple(bits)
 
 
@@ -139,6 +160,32 @@ def test_mutate_matches_tuple_reference(length, rate):
         assert rng.getstate() == ref_rng.getstate()
         # an unchanged genome comes back as the same object
         assert (out is genome) == (expected == bits)
+
+
+@pytest.mark.parametrize("rate", (0.05, 0.6, 1.0))
+@pytest.mark.parametrize("length", (29, 800))
+@pytest.mark.parametrize("rule", ("gap-walk", "per-bit"))
+def test_mutate_flips_each_position_with_half_the_rate(rule, length, rate):
+    # `trials` mutations of one genome on fixed seeds. A flip is a Bernoulli(p)
+    # event with p = rate/2, so each position's flip frequency must lie
+    # within 5 standard errors of p (sqrt(p(1-p)/TRIALS)), and the mean
+    # flip count within 4 standard errors of length*p. These bounds fail
+    # a rule that flips with probability rate, or that never flips the
+    # last position, and the old per-bit rule passes them too.
+    trials = 2000
+    p = rate / 2
+    bits = _random_bits(length, 0.5, random.Random(length))
+    rng = random.Random(f"{length}/{rate}")
+    genome = Genome(bits)
+    if rule == "gap-walk":
+        rows = [mutate(genome, rate, rng).bits for _ in range(trials)]
+    else:
+        rows = [_per_bit_mutate(bits, rate, rng) for _ in range(trials)]
+    flips = np.array(rows) != np.array(bits)
+    freq = flips.mean(axis=0)
+    assert np.abs(freq - p).max() <= 5 * math.sqrt(p * (1 - p) / trials)
+    count = flips.sum(axis=1).mean()
+    assert abs(count - length * p) <= 4 * math.sqrt(length * p * (1 - p) / trials)
 
 
 @pytest.mark.parametrize("k", (1, 3, 8))
