@@ -13,12 +13,13 @@ there for one tick before ``recall_job`` puts it back in the queue.
 Machine indices are 1-based on the public surface, matching the column
 numbering; internals are 0-based numpy arrays. The public operators are
 pure: they return a new matrix and leave their input untouched, so values
-may be shared freely across threads. Each queue operator (``shift_up``,
-``complete_heads``, ``recall_job``, ``mutate_dropped_rows``,
+may be shared freely across threads. Each queue operator the simulator
+runs (``shift_up``, ``recall_job``, ``mutate_dropped_rows``,
 ``rebalance_crossover``) is a thin wrapper that copies its input and runs
 the operator's in-place core (``_shift_up_inplace`` and so on) on the
-copy. A single owner of a matrix, such as the simulator's run state,
-calls the cores directly and so builds no new matrix per step.
+copy. A single owner of a matrix, such as the simulator's run state or
+the final polish of ``optimize_schedule``, calls the cores directly and
+so builds no new matrix per step.
 
 The cores that read column loads (``_recall_job_inplace``,
 ``_mutate_dropped_rows_inplace``, ``_rebalance_crossover_inplace``) take
@@ -39,7 +40,6 @@ import numpy as np
 from .errors import (
     CapacityError, ConfigError, DimensionError, StateError, at_least, check_fields, checked,
 )
-from .ga_core import Genome
 
 JobId = int
 
@@ -128,22 +128,17 @@ def complete_heads(
     reported for recall. Either way the head row ends empty.
     """
     out = matrix.copy()
-    completed, to_recall = _complete_heads_inplace(out)
-    return out, completed, to_recall
-
-
-def _complete_heads_inplace(matrix: ScheduleMatrix) -> tuple[list[JobId], list[JobId]]:
     completed: list[JobId] = []
     to_recall: list[JobId] = []
-    job = matrix.labels[0]
+    job = out.labels[0]
     if job is not None:
-        if np.count_nonzero(matrix.head):  # one C call, cheaper than ndarray.any
+        if np.count_nonzero(out.head):  # one C call, cheaper than ndarray.any
             completed.append(job)
         else:
             to_recall.append(job)
-        matrix.labels[0] = None
-    matrix.head[:] = 0
-    return completed, to_recall
+        out.labels[0] = None
+    out.head[:] = 0
+    return out, completed, to_recall
 
 
 def column_loads(matrix: ScheduleMatrix) -> list[int]:
@@ -263,71 +258,21 @@ def _rebalance_crossover_inplace(
         loads[tgt] += 1
 
 
-def mutate_dropped_rows(
-    matrix: ScheduleMatrix,
-    rng: random.Random,
-    max_load: int | None = None,
-) -> ScheduleMatrix:
-    """Give every labeled all-zero body row exactly one 1.
-
-    By default the column is uniform random. With ``max_load`` set, the
-    1 goes to the least-loaded column still below that load (ties to the
-    lowest index) and rows are left untouched when no column has room;
-    that capacity-aware mode keeps physical queue depths honest.
-    """
+def mutate_dropped_rows(matrix: ScheduleMatrix, rng: random.Random) -> ScheduleMatrix:
+    """Give every labeled all-zero body row exactly one 1, in a uniformly
+    random column."""
     out = matrix.copy()
-    _mutate_dropped_rows_inplace(out, column_loads(out), rng, max_load)
+    _mutate_dropped_rows_inplace(out, column_loads(out), rng)
     return out
 
 
 def _mutate_dropped_rows_inplace(
-    matrix: ScheduleMatrix,
-    loads: list[int],
-    rng: random.Random,
-    max_load: int | None = None,
+    matrix: ScheduleMatrix, loads: list[int], rng: random.Random
 ) -> None:
     for i in matrix.dropped_rows():
-        if max_load is None:
-            col = rng.randrange(matrix.k)
-        else:
-            candidates = [j for j in range(matrix.k) if loads[j] < max_load]
-            if not candidates:
-                continue
-            col = min(candidates, key=lambda j: (loads[j], j))
+        col = rng.randrange(matrix.k)
         matrix.body[i, col] = 1
         loads[col] += 1
-
-
-def repair_column_capacity(matrix: ScheduleMatrix, max_load: int) -> ScheduleMatrix:
-    """Evict queue entries beyond ``max_load`` per column.
-
-    The shallowest ``max_load`` entries of each column survive; evicted
-    rows become labeled all-zero rows (dropped jobs).
-    """
-    if max_load < 0:
-        raise ValueError("max_load must be non-negative")
-    out = matrix.copy()
-    for j in range(out.k):
-        rows = np.nonzero(out.body[:, j])[0]
-        for r in rows[max_load:]:
-            out.body[r, j] = 0
-    return out
-
-
-def from_genome(
-    bits: Genome, m: int, k: int, labels: list[JobId | None]
-) -> ScheduleMatrix:
-    """Rebuild a matrix from a flattened body, repairing row feasibility.
-
-    ``labels`` carries the m body-row labels; the head starts empty.
-    """
-    if len(bits) != m * k:
-        raise DimensionError(f"genome length {len(bits)} != m*k = {m * k}")
-    if len(labels) != m:
-        raise DimensionError("labels must hold one entry per body row")
-    body = np.array(bits.bits, dtype=np.int8).reshape(m, k)
-    matrix = ScheduleMatrix(m, k, np.zeros(k, dtype=np.int8), body, [None] + list(labels))
-    return repair_rows(matrix)
 
 
 def to_text(matrix: ScheduleMatrix) -> str:

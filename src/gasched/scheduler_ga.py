@@ -2,10 +2,11 @@
 
 Candidate schedules are flattened matrix bodies with one row per job;
 the physical queue depth ``m`` caps how many jobs one machine's column
-may hold. Decoding repairs row feasibility (leftmost 1 wins) and then
-column capacity (entries beyond ``m`` per column are evicted into
-dropped rows), so every genome scores as a physically realizable
-schedule and the GA optimum is comparable with exhaustive search.
+may hold. Decoding applies both rules in one pass over the genome: a
+row keeps its leftmost 1, and a column keeps its first ``m`` rows in row
+order, the rest becoming dropped (all-zero) rows. So every genome scores
+as a physically realizable schedule and the GA optimum is comparable
+with exhaustive search.
 """
 
 from __future__ import annotations
@@ -13,18 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+import numpy as np
+
 from . import ga_core
 from .errors import ConfigError, DimensionError, at_least, check_fields, checked
 from .ga_core import GaConfig, Genome
 from .schedule_matrix import (
     OverloadConfig,
     ScheduleMatrix,
+    _rebalance_crossover_inplace,
     check_shape,
     column_loads,
-    from_genome,
-    mutate_dropped_rows,
-    rebalance_crossover,
-    repair_column_capacity,
 )
 
 if TYPE_CHECKING:
@@ -55,6 +55,9 @@ class SchedulingProblem:
         check_shape(self.k, self.m, self.fitness_cfg.overload)
         if not self.jobs:
             raise ConfigError("workload", "must hold at least one job")
+        ids = [job.id for job in self.jobs]
+        if len(ids) != len(set(ids)):
+            raise ConfigError("workload", "job ids must be unique")
 
 
 def score(loads: Sequence[int], drops: int, cfg: SchedulerFitnessConfig) -> float:
@@ -77,7 +80,7 @@ def make_fitness(job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig):
     """Fitness over flattened (job_count x k) bodies, memoized by mask.
 
     Scores each genome exactly as ``schedule_fitness`` applied to the
-    decoded-and-repaired matrix (see :func:`decode_schedule`), but from
+    decoded matrix (see :func:`decode_schedule`), but from
     per-column bit counts of the genome's mask. Job row ``r`` is the
     ``k``-bit field at ``r*k``, and its leftmost 1 is at column ``j``
     exactly when bit ``j`` of the row is set and bits ``0..j-1`` are
@@ -127,10 +130,26 @@ def make_fitness(job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig):
 def decode_schedule(
     genome: Genome, job_ids: Sequence[int], k: int, m: int
 ) -> ScheduleMatrix:
-    """Genome -> matrix with one body row per job, repaired for row
-    feasibility and per-column capacity ``m``."""
-    matrix = from_genome(genome, len(job_ids), k, list(job_ids))
-    return repair_column_capacity(matrix, m)
+    """Genome -> matrix with one body row per job, by the rule that
+    :func:`make_fitness` scores: row ``r`` keeps the lowest set bit of
+    its ``k``-bit field (its leftmost 1), and each column keeps its first
+    ``m`` rows in row order; every other row stays all zero (dropped)."""
+    job_count = len(job_ids)
+    if genome.length != job_count * k:
+        raise DimensionError(f"genome length {genome.length} != jobs*k = {job_count * k}")
+    body = np.zeros((job_count, k), dtype=np.int8)
+    loads = [0] * k
+    field = (1 << k) - 1
+    mask = genome.mask
+    for r in range(job_count):
+        row = mask & field
+        mask >>= k
+        if row:
+            j = (row & -row).bit_length() - 1
+            if loads[j] < m:
+                loads[j] += 1
+                body[r, j] = 1
+    return ScheduleMatrix(job_count, k, np.zeros(k, dtype=np.int8), body, [None, *job_ids])
 
 
 def random_placement_genome(job_count: int, k: int, m: int, rng) -> Genome:
@@ -169,13 +188,26 @@ def optimize_schedule(problem: SchedulingProblem) -> OptimizeResult:
 
     best, history = ga_core.run(initializer, fitness, problem.ga_cfg)
     matrix = decode_schedule(best.genome, job_ids, k, m)
-
-    # final polish: spread overloaded queues, then requeue dropped jobs
-    # into columns that still have physical room
-    polish_rng = ga_core.stream(problem.ga_cfg.rng_seed, "polish")
-    polished, _ = rebalance_crossover(matrix, cfg.overload)
-    polished = mutate_dropped_rows(polished, polish_rng, max_load=m)
-    polished_fitness = schedule_fitness(polished, cfg)
+    polished, polished_fitness = _polish(matrix, m, cfg)
     if polished_fitness <= best.fitness:
         return OptimizeResult(polished, polished_fitness, history)
     return OptimizeResult(matrix, best.fitness, history)
+
+
+def _polish(
+    matrix: ScheduleMatrix, m: int, cfg: SchedulerFitnessConfig
+) -> tuple[ScheduleMatrix, float]:
+    """The final polish, on one copy of ``matrix``: spread overloaded
+    queues, then requeue each dropped row on the least-loaded column still
+    below ``m`` (ties to the lowest index), leaving the rest dropped once
+    every column is full. Returns the copy and its fitness."""
+    out = matrix.copy()
+    loads = column_loads(out)
+    _rebalance_crossover_inplace(out, loads, cfg.overload)
+    for i in out.dropped_rows():
+        col = loads.index(min(loads))
+        if loads[col] >= m:
+            break
+        out.body[i, col] = 1
+        loads[col] += 1
+    return out, score(loads, len(out.dropped_rows()), cfg)

@@ -3,8 +3,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gasched import (
     Genome,
@@ -12,20 +10,18 @@ from gasched import (
     ScheduleMatrix,
     column_loads,
     complete_heads,
-    from_genome,
+    decode_schedule,
     from_text,
     inverse_select,
     mutate_dropped_rows,
     rebalance_crossover,
     recall_job,
-    repair_column_capacity,
     repair_rows,
     shift_up,
     to_text,
 )
-from gasched.errors import CapacityError, DimensionError, StateError
+from gasched.errors import CapacityError, StateError
 from gasched.schedule_matrix import (
-    _complete_heads_inplace,
     _mutate_dropped_rows_inplace,
     _rebalance_crossover_inplace,
     _recall_job_inplace,
@@ -80,10 +76,6 @@ def _shift_case(rng, matrix):
     return shift_up, _shift_up_inplace, lambda: (), False
 
 
-def _complete_case(rng, matrix):
-    return complete_heads, _complete_heads_inplace, lambda: (), False
-
-
 def _recall_case(rng, matrix):
     matrix.body[-1] = 0
     matrix.labels[-1] = None
@@ -91,10 +83,9 @@ def _recall_case(rng, matrix):
 
 
 def _mutate_case(rng, matrix):
-    max_load = rng.choice([None, 1, 2])
     seed = rng.getrandbits(32)
     return (mutate_dropped_rows, _mutate_dropped_rows_inplace,
-            lambda: (random.Random(seed), max_load), True)
+            lambda: (random.Random(seed),), True)
 
 
 def _rebalance_case(rng, matrix):
@@ -102,7 +93,7 @@ def _rebalance_case(rng, matrix):
     return rebalance_crossover, _rebalance_crossover_inplace, lambda: (cfg,), True
 
 
-@pytest.mark.parametrize("case", [_shift_case, _complete_case, _recall_case,
+@pytest.mark.parametrize("case", [_shift_case, _recall_case,
                                   _mutate_case, _rebalance_case])
 def test_pure_wrapper_equals_core_on_a_copy_and_keeps_input(case, rng):
     for _ in range(200):
@@ -471,28 +462,6 @@ def test_mutate_leaves_no_labeled_zero_rows(rng):
         assert out.dropped_rows() == []
 
 
-def test_mutate_capacity_mode_respects_max_load():
-    body = [[1, 0], [1, 0], [0, 0], [0, 0]]
-    m = matrix_from_body(body, labels=[None, 1, 2, 3, 4])
-    out = mutate_dropped_rows(m, random.Random(0), max_load=2)
-    assert max(column_loads(out)) <= 2
-    assert out.dropped_rows() == []  # room existed in column 2
-    full = matrix_from_body([[1], [1], [0]], labels=[None, 1, 2, 3])
-    out2 = mutate_dropped_rows(full, random.Random(0), max_load=2)
-    assert out2.dropped_rows() == [2]  # no room anywhere: row left alone
-
-
-# -------------------------------------------------- repair_column_capacity
-
-def test_capacity_repair_keeps_shallowest_entries():
-    body = [[1, 0], [1, 0], [1, 0], [0, 1]]
-    m = matrix_from_body(body, labels=[None, 1, 2, 3, 4])
-    out = repair_column_capacity(m, 2)
-    assert column_loads(out) == [2, 1]
-    assert out.body[2].tolist() == [0, 0]
-    assert out.labels == m.labels
-
-
 # ------------------------------------------------------- genome round trip
 
 def to_genome(matrix: ScheduleMatrix) -> Genome:
@@ -509,24 +478,9 @@ def test_feasible_body_round_trips():
     m = matrix_from_body([[1, 0], [0, 1]], labels=[None, 1, 2])
     g = to_genome(m)
     assert g.bits == (1, 0, 0, 1)
-    back = from_genome(g, 2, 2, [1, 2])
+    back = decode_schedule(g, [1, 2], 2, 2)
     assert (back.body == m.body).all()
     assert back.labels == m.labels
-
-
-def test_from_genome_rejects_wrong_length():
-    with pytest.raises(DimensionError):
-        from_genome(Genome((1, 0, 1)), 2, 2, [1, 2])
-
-
-@settings(max_examples=200)
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=36), st.integers(1, 6))
-def test_from_genome_output_is_row_feasible(bits, k):
-    if len(bits) % k:
-        return
-    m = len(bits) // k
-    out = from_genome(Genome(tuple(bits)), m, k, list(range(m)))
-    assert all(int(row.sum()) <= 1 for row in out.body)
 
 
 # ------------------------------------------------------------ text format

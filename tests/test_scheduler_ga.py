@@ -1,9 +1,13 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasched import (
     GaConfig,
+    Genome,
     Job,
     OverloadConfig,
     ScheduleMatrix,
@@ -12,15 +16,14 @@ from gasched import (
     column_loads,
     decode_schedule,
     make_fitness,
-    mutate_dropped_rows,
     optimize_schedule,
     random_genome,
     rebalance_crossover,
     repair_rows,
     schedule_fitness,
 )
-from gasched.errors import DimensionError
-from gasched.scheduler_ga import random_placement_genome
+from gasched.errors import ConfigError, DimensionError
+from gasched.scheduler_ga import _polish, random_placement_genome
 
 from conftest import random_matrix
 
@@ -132,6 +135,53 @@ def test_feasible_matches_direct_recount(rng):
 
 # -------------------------------------------------- genome decode and score
 
+def two_step_decode(genome, job_ids, k, m):
+    """Independent decode reference: row repair on the raw body, then the
+    eviction of each column's rows beyond the first ``m``."""
+    job_count = len(job_ids)
+    body = np.array(genome.bits, dtype=np.int8).reshape(job_count, k)
+    matrix = repair_rows(
+        ScheduleMatrix(job_count, k, np.zeros(k, dtype=np.int8), body, [None, *job_ids])
+    )
+    for j in range(k):
+        for r in np.flatnonzero(matrix.body[:, j])[m:]:
+            matrix.body[r, j] = 0
+    return matrix
+
+
+@st.composite
+def decode_cases(draw):
+    job_count = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 10))  # machines may outnumber jobs
+    m = draw(st.integers(1, 10))  # a column may have room for every job
+    rows = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=job_count,
+                         max_size=job_count))  # 0 is an all-zero row
+    mask = sum(row << (r * k) for r, row in enumerate(rows))
+    return Genome._from_mask(mask, job_count * k), k, m
+
+
+@settings(max_examples=300)
+@given(decode_cases())
+def test_decode_matches_two_step_reference(case):
+    genome, k, m = case
+    job_ids = [10 + r for r in range(genome.length // k)]
+    assert decode_schedule(genome, job_ids, k, m) == two_step_decode(genome, job_ids, k, m)
+
+
+def test_decode_keeps_first_m_rows_per_column():
+    genome = Genome((1, 0, 1, 0, 1, 1, 0, 1))  # rows 10, 10, 11, 01
+    out = decode_schedule(genome, [1, 2, 3, 4], 2, 2)
+    assert out.body.tolist() == [[1, 0], [1, 0], [0, 0], [0, 1]]
+    assert column_loads(out) == [2, 1]
+    assert out.labels == [None, 1, 2, 3, 4]
+    assert out.dropped_rows() == [2]
+
+
+def test_decode_rejects_wrong_length():
+    with pytest.raises(DimensionError):
+        decode_schedule(Genome((1, 0, 1)), [1, 2], 2, 2)
+
+
 def test_make_fitness_matches_matrix_path(rng):
     for _ in range(200):
         job_count = rng.randint(1, 6)
@@ -193,6 +243,32 @@ def test_problem_rejects_w_above_queue_depth():
         problem(J=2, k=2, m=1, w=2, delta=0)
 
 
+def test_problem_rejects_repeated_job_ids():
+    with pytest.raises(ConfigError, match="^workload: job ids must be unique$"):
+        SchedulingProblem(
+            jobs=[Job(1, 1, 0), Job(1, 1, 0), Job(2, 1, 0)],
+            k=2,
+            m=2,
+            fitness_cfg=fit_cfg(w=1),
+            ga_cfg=GaConfig(population_size=4, max_generations=5),
+        )
+
+
+def test_optimize_builds_at_most_two_matrices(monkeypatch):
+    # one for the decoded best genome, one for the polished copy
+    built = []
+    check = ScheduleMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ScheduleMatrix, "__post_init__", counted)
+    result = optimize_schedule(problem(J=11, k=3, m=3, w=2, delta=0, generations=5))
+    assert len(result.matrix.dropped_rows()) == 2  # 11 jobs, 3 x 3 queue slots
+    assert len(built) <= 2
+
+
 def test_problem_rejects_empty_jobs():
     with pytest.raises(ValueError):
         SchedulingProblem(
@@ -206,6 +282,48 @@ def test_problem_rejects_empty_jobs():
 
 # ------------------------------------------------------------- final polish
 
+def capacity_requeue(matrix, m):
+    """Reference requeue: each dropped row goes to the least-loaded column
+    below ``m``, ties to the lowest index; rows with no room stay dropped."""
+    out = matrix.copy()
+    for i in out.dropped_rows():
+        loads = column_loads(out)
+        candidates = [j for j in range(out.k) if loads[j] < m]
+        if candidates:
+            out.body[i, min(candidates, key=lambda j: (loads[j], j))] = 1
+    return out
+
+
+def test_polish_requeue_respects_queue_depth():
+    body = [[1, 0], [1, 0], [0, 0], [0, 0]]
+    matrix = ScheduleMatrix.empty(4, 2)
+    matrix.body[:] = body
+    matrix.labels = [None, 1, 2, 3, 4]
+    out, value = _polish(matrix, 2, fit_cfg(w=2))
+    assert column_loads(out) == [2, 2]
+    assert out.dropped_rows() == [] and value == 0.0  # room existed in column 2
+    full = ScheduleMatrix.empty(3, 1)
+    full.body[:2] = 1
+    full.labels = [None, 1, 2, 3]
+    out, value = _polish(full, 2, fit_cfg(w=2))
+    assert out.dropped_rows() == [2] and value == 100.0  # no room anywhere
+
+
+def test_polish_equals_rebalance_then_capacity_requeue_and_keeps_input(rng):
+    for _ in range(300):
+        m_rows = rng.randint(1, 6)
+        k = rng.randint(1, 4)
+        m = rng.randint(1, m_rows)
+        cfg = fit_cfg(w=rng.randint(0, m), delta=rng.randint(0, k))
+        matrix = repair_rows(random_matrix(rng, m_rows, k, labeled=True))
+        before = matrix.copy()
+        out, value = _polish(matrix, m, cfg)
+        assert matrix == before
+        rebalanced, _ = rebalance_crossover(matrix, cfg.overload)
+        assert out == capacity_requeue(rebalanced, m)
+        assert value == schedule_fitness(out, cfg)
+
+
 def test_polish_never_increases_fitness(rng):
     for _ in range(300):
         m_rows = rng.randint(1, 6)
@@ -213,7 +331,5 @@ def test_polish_never_increases_fitness(rng):
         cfg = fit_cfg(w=rng.randint(1, m_rows), delta=rng.randint(0, k))
         matrix = repair_rows(random_matrix(rng, m_rows, k, labeled=True))
         before = schedule_fitness(matrix, cfg)
-        polish_rng = random.Random(0)
-        out, _ = rebalance_crossover(matrix, cfg.overload)
-        out = mutate_dropped_rows(out, polish_rng, max_load=m_rows)
-        assert schedule_fitness(out, cfg) <= before
+        out, value = _polish(matrix, m_rows, cfg)
+        assert value == schedule_fitness(out, cfg) <= before
