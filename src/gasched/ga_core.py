@@ -5,6 +5,11 @@ Fitness is minimized everywhere. All stochastic operators draw from
 from the root seed (tagged string seeding), so a given ``(config, seed,
 fitness)`` triple always reproduces the same output.
 
+A run stops at the first of three rules: the generation budget, a
+stagnant best fitness (both in :class:`GaConfig`), and a best fitness at
+or below the ``floor`` that a caller who knows a lower bound on its
+fitness may pass to :func:`run`.
+
 A :class:`Genome` is stored as one Python ``int`` bit mask plus its
 length: bit ``i`` of the mask is position ``i`` of the genome (for a
 flattened job x machine body, position ``r*k + j``). Bits are validated
@@ -141,6 +146,9 @@ class GaConfig:
     probability ``mutation_rate/2``; :func:`mutate` draws about once per
     flip. Stagnation halts the run once the best fitness has moved by at
     most ``stagnation_tol`` over ``stagnation_window`` consecutive steps.
+    The budget and stagnation are the two stopping rules set here; the
+    third, :func:`run`'s ``floor``, comes from the fitness function, so
+    it is not a config field.
     """
 
     population_size: int = checked(at_least(2), key="population")
@@ -331,9 +339,18 @@ def run(
     initializer: Callable[[random.Random], Genome],
     fitness: FitnessFunction,
     config: GaConfig,
+    *,
+    floor: float | None = None,
 ) -> tuple[Individual, list[float]]:
     """Full GA loop; returns the best individual ever seen and the
-    per-generation best-fitness history (initial generation included)."""
+    per-generation best-fitness history (initial generation included).
+
+    ``floor``, if given, is a lower bound on every fitness value: the run
+    stops after the first generation whose best is ``<= floor``, before
+    :func:`has_converged` is asked, since no later generation could beat
+    it strictly. The history then ends at that generation; the draws up
+    to it and the best individual are those of a run without a floor.
+    """
     init_rng = stream(config.rng_seed, "init")
     evolve_rng = stream(config.rng_seed, "evolve")
     members = [Individual(initializer(init_rng)) for _ in range(config.population_size)]
@@ -341,7 +358,7 @@ def run(
     top = _best(population)
     best = Individual(top.genome, top.fitness)
     history = [top.fitness]
-    while not has_converged(history, config):
+    while (floor is None or best.fitness > floor) and not has_converged(history, config):
         population = step_generation(population, fitness, config, evolve_rng)
         top = _best(population)
         history.append(top.fitness)

@@ -7,10 +7,17 @@ row keeps its leftmost 1, and a column keeps its first ``m`` rows in row
 order, the rest becoming dropped (all-zero) rows. So every genome scores
 as a physically realizable schedule and the GA optimum is comparable
 with exhaustive search.
+
+:func:`optimize_schedule` runs the GA with ``floor=0.0``: :func:`score`
+is a sum of counts times weights that :class:`SchedulerFitnessConfig`
+keeps positive (``drop_weight``) and non-negative (``overload_weight``),
+both finite, so no schedule scores below 0, and a run whose best reaches
+0 stops there instead of spending its stagnation window.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -31,13 +38,17 @@ if TYPE_CHECKING:
     from .simulator import Job
 
 
+# an infinite weight times a zero count scores NaN
+_FINITE = (math.isfinite, "must be finite")
+
+
 @dataclass
 class SchedulerFitnessConfig:
     """Weights of the scalar objective; dropped jobs must dominate."""
 
     overload: OverloadConfig
-    drop_weight: float = checked((lambda v: v > 0, "must be positive"), default=100.0)
-    overload_weight: float = checked(at_least(0), default=1.0)
+    drop_weight: float = checked((lambda v: v > 0, "must be positive"), _FINITE, default=100.0)
+    overload_weight: float = checked(at_least(0), _FINITE, default=1.0)
 
     def __post_init__(self):
         check_fields(self)
@@ -176,7 +187,8 @@ class OptimizeResult(NamedTuple):
 
 def optimize_schedule(problem: SchedulingProblem) -> OptimizeResult:
     """Evolve a schedule for the problem's jobs and return the best
-    matrix ever seen, its fitness, and the best-fitness history."""
+    matrix ever seen, its fitness, and the best-fitness history, which
+    ends at the first generation whose best scores 0."""
     job_ids = [job.id for job in problem.jobs]
     job_count = len(job_ids)
     k, m = problem.k, problem.m
@@ -186,7 +198,7 @@ def optimize_schedule(problem: SchedulingProblem) -> OptimizeResult:
     def initializer(rng):
         return random_placement_genome(job_count, k, m, rng)
 
-    best, history = ga_core.run(initializer, fitness, problem.ga_cfg)
+    best, history = ga_core.run(initializer, fitness, problem.ga_cfg, floor=0.0)
     matrix = decode_schedule(best.genome, job_ids, k, m)
     polished, polished_fitness = _polish(matrix, m, cfg)
     if polished_fitness <= best.fitness:

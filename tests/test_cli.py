@@ -229,6 +229,13 @@ _LIBRARY_ERRORS = [
     ("SchedulerFitnessConfig.overload_weight",
      lambda: SchedulerFitnessConfig(overload=OverloadConfig(w=1, delta=0), overload_weight=-1.0),
      "overload_weight"),
+    ("SchedulerFitnessConfig.drop_weight-inf",
+     lambda: SchedulerFitnessConfig(overload=OverloadConfig(w=1, delta=0), drop_weight=math.inf),
+     "drop_weight"),
+    ("SchedulerFitnessConfig.overload_weight-inf",
+     lambda: SchedulerFitnessConfig(overload=OverloadConfig(w=1, delta=0),
+                                    overload_weight=math.inf),
+     "overload_weight"),
     ("SchedulingProblem.k", lambda: _problem(k=0), "machines"),
     ("SchedulingProblem.m", lambda: _problem(m=0), "queue_depth"),
     ("SchedulingProblem.w-above-m", lambda: _problem(w=3), "w"),

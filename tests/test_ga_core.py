@@ -391,6 +391,30 @@ def test_run_with_elitism_gives_non_increasing_history():
         assert all(b <= a for a, b in zip(history, history[1:]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 16),
+    st.sampled_from((0, 2)),
+    st.integers(-1, 16) | st.floats(-1, 16),
+)
+@example(seed=0, length=12, elite_count=2, floor=0)
+@example(seed=0, length=12, elite_count=0, floor=0)
+def test_run_with_a_floor_is_the_floorless_run_cut_at_its_first_entry_at_or_below(
+    seed, length, elite_count, floor
+):
+    cfg = GaConfig(population_size=6, max_generations=40, elite_count=elite_count, rng_seed=seed)
+    init = lambda r: random_genome(length, r)  # noqa: E731
+    best, history = run(init, popcount_fitness(length), cfg)
+    best_f, history_f = run(init, popcount_fitness(length), cfg, floor=floor)
+    hits = [i for i, value in enumerate(history) if value <= floor]
+    assert history_f == (history[: hits[0] + 1] if hits else history)
+    if floor <= 0:  # a true lower bound of popcount: nothing after the cut beats it
+        assert (best_f.genome, best_f.fitness) == (best.genome, best.fitness)
+    else:
+        assert best_f.fitness == min(history_f)
+
+
 # ------------------------------------------------------ epsilon_good_set
 
 def epsilon_good_set(values, minima, epsilon):

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gasched import (
@@ -13,6 +13,7 @@ from gasched import (
     ScheduleMatrix,
     SchedulerFitnessConfig,
     SchedulingProblem,
+    brute_force_best,
     column_loads,
     decode_schedule,
     make_fitness,
@@ -20,10 +21,11 @@ from gasched import (
     random_genome,
     rebalance_crossover,
     repair_rows,
+    run,
     schedule_fitness,
 )
 from gasched.errors import ConfigError, DimensionError
-from gasched.scheduler_ga import _polish, random_placement_genome
+from gasched.scheduler_ga import _polish, random_placement_genome, score
 
 from conftest import random_matrix
 
@@ -55,6 +57,23 @@ def count_stats(matrix, w):
 
 
 # --------------------------------------------------------- schedule_fitness
+
+@settings(max_examples=300)
+@given(
+    st.floats(), st.floats(), st.integers(0, 8),
+    st.lists(st.integers(0, 2**20), max_size=8), st.integers(0, 2**20),
+)
+@example(float("inf"), 1.0, 1, [2], 0)  # inf * 0 drops would score NaN
+@example(1.0, float("inf"), 1, [0], 0)
+def test_score_is_never_negative_under_accepted_weights(drop_weight, overload_weight, w, loads, drops):
+    # the premise of optimize_schedule's floor=0.0: a weight rule that let a
+    # score fall below 0 would cut searches short without a word
+    try:
+        cfg = fit_cfg(w=w, drop_weight=drop_weight, overload_weight=overload_weight)
+    except ConfigError:
+        return
+    assert score(loads, drops, cfg) >= 0
+
 
 def test_fitness_zero_on_clean_matrix():
     m = ScheduleMatrix.empty(3, 2)
@@ -233,6 +252,25 @@ def test_balanced_solution_found_with_seed_sweep():
     assert best == 0.0
 
 
+def test_runs_that_score_zero_stop_at_that_generation():
+    # criterion 2's grid; every instance with optimum 0 reaches it in
+    # generation 0, so its history is that one entry
+    grid = [
+        (jobs, k, m, w, delta)
+        for jobs in range(1, 8)
+        for k in (1, 2, 3)
+        for m in (1, 2, 3)
+        for w in (1, 2)
+        if w <= m
+        for delta in (0, 1)
+    ]
+    zero = [inst for inst in grid if brute_force_best(*inst[:3], fit_cfg(*inst[3:])).optimum == 0]
+    assert len(zero) == 84
+    for jobs, k, m, w, delta in zero:
+        for seed in range(3):
+            assert optimize_schedule(problem(jobs, k, m, w, delta, seed=seed)).history == [0.0]
+
+
 def test_optimizer_never_beats_initial_population_best():
     result = optimize_schedule(problem(J=7, k=3, m=3, w=1, delta=0, seed=4))
     assert result.fitness <= result.history[0]
@@ -322,6 +360,21 @@ def test_polish_equals_rebalance_then_capacity_requeue_and_keeps_input(rng):
         rebalanced, _ = rebalance_crossover(matrix, cfg.overload)
         assert out == capacity_requeue(rebalanced, m)
         assert value == schedule_fitness(out, cfg)
+
+
+def test_polish_improves_on_the_ga_best_at_a_mid_size_shape():
+    # (J, k, m, w, delta) = (50, 8, 8, 6, 2), optimum 1: the GA's best
+    # leaves three machines above w, and the rebalance spreads load until
+    # only delta = 2 are
+    prob = problem(J=50, k=8, m=8, w=6, delta=2, seed=0)
+    best, _ = run(
+        lambda r: random_placement_genome(50, 8, 8, r),
+        make_fitness(50, 8, 8, prob.fitness_cfg),
+        prob.ga_cfg,
+        floor=0.0,
+    )
+    assert best.fitness == 3.0
+    assert optimize_schedule(prob).fitness == 2.0
 
 
 def test_polish_never_increases_fitness(rng):
