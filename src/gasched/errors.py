@@ -25,7 +25,7 @@ class CapacityError(GaschedError, RuntimeError):
 
 
 class BudgetError(GaschedError, ValueError):
-    """An enumeration would exceed the configured work budget."""
+    """An exact computation would exceed its work budget."""
 
 
 class ConfigError(GaschedError, ValueError):

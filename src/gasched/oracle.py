@@ -1,19 +1,20 @@
 """Exact ground-truth solver for static scheduling instances.
 
-The objective depends only on each machine's load and on the drop count,
-and machines are interchangeable, so the solver scans sorted load vectors
-(each load at most the queue depth ``m``, summing to at most the job
-count) instead of job -> machine-or-drop assignments, and counts the
-assignments behind each vector with multinomials. That visits at most
-C(min(m, J) + k, k) vectors for J jobs on k machines, where the
-assignment space holds up to (k+1)^J maps.
+The objective depends only on the drop count and on the number o of
+machines loaded above ``w``. For a fixed o the best schedule places as
+many jobs as fit, so each o = 0..k gives one candidate, and the optimum
+is the least of them. Per optimal o placing s jobs, the optimal
+assignments number C(k, o) choices of the machines above ``w``, times
+C(J, s) of the placed jobs, times the ways to spread them over the k
+machines' load ranges, which a convolution counts.
 
 The witness is one optimal assignment, as a tuple giving each job's
 machine (1-based) or ``None`` for a drop: machine 1's jobs first, then
 machine 2's, and so on, then the drops. Among all optimal assignments it
 is the first in lexicographic order with machines 1..k ranked before the
 drop, the order of a search that tries each job on machine 1, 2, ..., k
-and then drops it.
+and then drops it: it spells out the lexicographically largest optimal
+non-increasing load vector.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from .schedule_matrix import ScheduleMatrix, check_shape
 
 import numpy as np
 
-ENUMERATION_BUDGET = 10_000_000
+# big-integer products in the count's convolution; at the limit a call
+# takes a few seconds
+PRODUCT_BUDGET = 3_000_000
 
 DROP = None
 
@@ -65,55 +68,48 @@ def brute_force_best(
     check_shape(k, m, cfg.overload)
     if job_count < 0:
         raise ConfigError("workload", "job count must be >= 0")
+    cfg.check_finite(job_count, k)
     if job_count == 0:
         return OracleResult(optimum=0.0, witness=(), count=1)
+    w = cfg.overload.w
     top = min(m, job_count)
-    vectors = math.comb(top + k, k)
-    if vectors > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"C(min(m, jobs) + k, k) = {vectors} load vectors exceed the "
-            f"{ENUMERATION_BUDGET} budget"
-        )
-    fact = [math.factorial(n) for n in range(job_count + 1)]
-    numerator = math.factorial(k) * fact[job_count]
-    best = math.inf
-    best_loads: list[int] = []
-    best_drops = count = 0
-    # Non-increasing load vectors, lexicographically largest first. Ranking
-    # machines 1..k before the drop, the first optimal assignment is this
-    # scan's first optimal vector spelled out: machine 1's jobs, then
-    # machine 2's, ..., then the drops.
-    loads = [0] * k
-    drops = job_count
-    idx = 0
-    while True:
-        for i in range(idx, k):
-            loads[i] = min(loads[i - 1] if i else top, drops)
-            drops -= loads[i]
-        value = score(loads, drops, cfg)
-        if value < best:
-            best, best_loads, best_drops, count = value, list(loads), drops, 0
-        if value == best:
-            # k! / prod(multiplicity!) machine orders of this vector, each
-            # reached by J! / (prod(load!) * drops!) assignments
-            denominator = fact[drops]
-            run = 0
-            for i, load in enumerate(loads):
-                run = run + 1 if i and load == loads[i - 1] else 1
-                denominator *= fact[load] * run
-            count += numerator // denominator
-        idx = k - 1
-        while idx >= 0 and loads[idx] == 0:
-            idx -= 1
-        if idx < 0:
+    low = min(w, top)
+    # (score, loads, placed, o): for each o, the lexicographically largest
+    # non-increasing load vector that places the most jobs
+    candidates = []
+    for o in range(k + 1 if top > w else 1):
+        placed = min(job_count, o * top + (k - o) * low)
+        if placed < o * (w + 1):
             break
-        # the suffix after idx is all zero: lower loads[idx], refill greedily
-        loads[idx] -= 1
-        drops += 1
-        idx += 1
+        loads, rest = [], placed
+        for i in range(k):
+            loads.append(min(top, rest - (o - 1 - i) * (w + 1)) if i < o else min(low, rest))
+            rest -= loads[-1]
+        candidates.append((score(loads, job_count - placed, cfg), loads, placed, o))
+    best = min(c[0] for c in candidates)
+    optimal = [c for c in candidates if c[0] == best]
+    products = sum(k * (placed + 1) * (top + 1) for _, _, placed, _ in optimal)
+    if products > PRODUCT_BUDGET:
+        raise BudgetError(f"counting the optimal assignments takes {products} "
+                          f"products, over the {PRODUCT_BUDGET} budget")
+    count = 0
+    for _, _, placed, o in optimal:
+        # ways[t]: maps of t labelled jobs onto the machines so far, each
+        # of the first o machines loaded in (w, top], every other in [0, low]
+        ways = [1] + [0] * placed
+        for i in range(k):
+            lo, hi = (w + 1, top) if i < o else (0, low)
+            row, new = [1] + [0] * hi, []  # row[l] = C(t, l), one Pascal step per t
+            for t in range(placed + 1):
+                for l in range(min(t, hi), 0, -1):
+                    row[l] += row[l - 1]
+                new.append(sum(row[l] * ways[t - l] for l in range(lo, min(hi, t) + 1)))
+            ways = new
+        count += math.comb(k, o) * math.comb(job_count, placed) * ways[placed]
+    best_loads = max(c[1] for c in optimal)
     witness = tuple(
         col for col, load in enumerate(best_loads, start=1) for _ in range(load)
-    ) + (DROP,) * best_drops
+    ) + (DROP,) * (job_count - sum(best_loads))
     recheck = schedule_fitness(assignment_to_matrix(witness, k), cfg)
     if recheck != best:
         raise AssertionError("witness fitness does not match the reported optimum")

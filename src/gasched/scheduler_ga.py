@@ -53,6 +53,15 @@ class SchedulerFitnessConfig:
     def __post_init__(self):
         check_fields(self)
 
+    def check_finite(self, job_count: int, k: int) -> None:
+        """Raise ConfigError naming the weight unless every schedule of
+        ``job_count`` jobs on ``k`` machines scores finite: no score exceeds
+        ``drop_weight * job_count + overload_weight * k``."""
+        if not math.isfinite(self.drop_weight * job_count):
+            raise ConfigError("drop_weight", f"dropping all {job_count} jobs would score inf")
+        if not math.isfinite(self.drop_weight * job_count + self.overload_weight * k):
+            raise ConfigError("overload_weight", f"{k} overloaded machines could score inf")
+
 
 @dataclass
 class SchedulingProblem:
@@ -69,6 +78,7 @@ class SchedulingProblem:
         ids = [job.id for job in self.jobs]
         if len(ids) != len(set(ids)):
             raise ConfigError("workload", "job ids must be unique")
+        self.fitness_cfg.check_finite(len(ids), self.k)
 
 
 def score(loads: Sequence[int], drops: int, cfg: SchedulerFitnessConfig) -> float:

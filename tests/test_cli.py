@@ -534,14 +534,50 @@ def test_oracle_check_solves_beyond_assignment_budget(tmp_path):
 
 
 def test_oracle_check_over_budget_exits_two(tmp_path, capsys):
-    # C(16 + 16, 16) load vectors exceed the oracle budget
-    wl = write_workload(tmp_path, [(i, 0, 1) for i in range(40)])
+    # all 2000 jobs fit at or below w: counting them takes 1024 * 2001 * 65
+    # products, over the oracle budget
+    wl = write_workload(tmp_path, [(i, 0, 1) for i in range(2000)])
     code = main([
-        "oracle-check", "--workload", wl, "--machines", "16",
-        "--queue-depth", "16", "--w", "2", "--delta", "1",
+        "oracle-check", "--workload", wl, "--machines", "1024",
+        "--queue-depth", "64", "--w", "2", "--delta", "1",
     ])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error")
+
+
+def test_oracle_check_answers_past_the_load_vector_budget(tmp_path):
+    # C(16 + 16, 16) load vectors: a shape the load-vector scan refused
+    wl = write_workload(tmp_path, [(i, 0, 1) for i in range(40)])
+    cfg_path = write_config(tmp_path, {"oracle_sweep": 1, "generations": 5})
+    out = tmp_path / "oc.json"
+    code = main([
+        "oracle-check", "--config", cfg_path, "--workload", wl, "--machines", "16",
+        "--queue-depth", "16", "--w", "2", "--delta", "1", "--out", str(out),
+    ])
+    assert code in (0, 1)
+    # 16 * 2 jobs fit at or below w, so one machine takes the other 8 above it
+    assert json.loads(out.read_text())["oracle_optimum"] == 1.0
+
+
+@pytest.mark.parametrize("subcommand", ["optimize", "oracle-check"])
+@pytest.mark.parametrize(
+    "weights, key",
+    [({"drop_weight": 1e308, "overload_weight": 1e308}, "drop_weight"),
+     ({"drop_weight": 1e308, "overload_weight": 0}, "drop_weight"),
+     ({"drop_weight": 1e300, "overload_weight": 1e308}, "overload_weight")],
+    ids=["both-huge", "drop-huge", "overload-huge"],
+)
+def test_weights_that_overflow_a_score_exit_two_naming_key(
+    tmp_path, capsys, subcommand, weights, key
+):
+    # each weight is finite, but 11 dropped jobs or 3 overloaded machines
+    # would score inf
+    cfg_path = write_config(tmp_path, weights)
+    wl = write_workload(tmp_path, [(i, 0, 1) for i in range(11)])
+    code = main([subcommand, "--config", cfg_path, "--workload", wl,
+                 "--machines", "3", "--queue-depth", "3"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
 
 # ------------------------------------------------------------ golden output

@@ -2,26 +2,35 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasched import (
+    GaConfig,
+    Job,
     OracleResult,
     OverloadConfig,
     SchedulerFitnessConfig,
+    SchedulingProblem,
     brute_force_best,
     schedule_fitness,
 )
-from gasched.errors import BudgetError
-from gasched.oracle import ENUMERATION_BUDGET, assignment_to_matrix
+from gasched.errors import BudgetError, ConfigError
+from gasched.oracle import PRODUCT_BUDGET, assignment_to_matrix
 from gasched.scheduler_ga import score
+
+# the size limit of the two reference searches below
+ENUMERATION_BUDGET = 10_000_000
 
 
 def fit_cfg(w=2, delta=0):
     return SchedulerFitnessConfig(overload=OverloadConfig(w=w, delta=delta))
 
 
-# ------------------------------------------------------- reference scan
-# The assignment-by-assignment search that brute_force_best replaced: an
-# independent method to check the load-vector scan against on small sizes.
+# ------------------------------------------------------- reference searches
+# Two searches that brute_force_best replaced, as independent methods to
+# check it against: the assignment-by-assignment search on small sizes, and
+# the load-vector scan on mid sizes.
 
 def enumerate_assignments(job_count, k, m):
     """Yield every capacity-respecting map of jobs to machines 1..k or
@@ -73,6 +82,55 @@ def _reference_best(job_count, k, m, cfg):
             best, witness, count = value, assignment, 1
         elif value == best:
             count += 1
+    return OracleResult(optimum=best, witness=witness, count=count)
+
+
+def scan_load_vectors(job_count, k, m, cfg):
+    """The mid-size reference: scan every non-increasing load vector (each
+    load at most min(m, J)), largest first, and count the assignments
+    behind each optimal one with multinomials. The first optimal vector
+    spelled out is the witness."""
+    if job_count == 0:
+        return OracleResult(optimum=0.0, witness=(), count=1)
+    top = min(m, job_count)
+    if math.comb(top + k, k) > ENUMERATION_BUDGET:
+        raise BudgetError("too many load vectors")
+    fact = [math.factorial(n) for n in range(job_count + 1)]
+    numerator = math.factorial(k) * fact[job_count]
+    best = math.inf
+    best_loads = []
+    best_drops = count = 0
+    loads = [0] * k
+    drops = job_count
+    idx = 0
+    while True:
+        for i in range(idx, k):
+            loads[i] = min(loads[i - 1] if i else top, drops)
+            drops -= loads[i]
+        value = score(loads, drops, cfg)
+        if value < best:
+            best, best_loads, best_drops, count = value, list(loads), drops, 0
+        if value == best:
+            # k! / prod(multiplicity!) machine orders of this vector, each
+            # reached by J! / (prod(load!) * drops!) assignments
+            denominator = fact[drops]
+            run = 0
+            for i, load in enumerate(loads):
+                run = run + 1 if i and load == loads[i - 1] else 1
+                denominator *= fact[load] * run
+            count += numerator // denominator
+        idx = k - 1
+        while idx >= 0 and loads[idx] == 0:
+            idx -= 1
+        if idx < 0:
+            break
+        # the suffix after idx is all zero: lower loads[idx], refill greedily
+        loads[idx] -= 1
+        drops += 1
+        idx += 1
+    witness = tuple(
+        col for col, load in enumerate(best_loads, start=1) for _ in range(load)
+    ) + (None,) * best_drops
     return OracleResult(optimum=best, witness=witness, count=count)
 
 
@@ -170,7 +228,7 @@ def test_assignment_fitness_agrees_with_matrix_route():
         assert direct == via_matrix
 
 
-# ------------------------------------------------- load-vector scan vs reference
+# ------------------------------------------------------ brute force vs references
 
 def test_brute_force_matches_assignment_scan():
     for job_count, k, m in itertools.product(range(1, 8), range(1, 4), range(1, 4)):
@@ -196,3 +254,78 @@ def test_brute_force_is_exact_far_beyond_assignment_budget():
         col for col in range(1, 7) for _ in range(8)
     ) + (None,) * 12
 
+
+
+WEIGHTS = st.sampled_from([
+    (100.0, 1.0), (100.0, 150.0), (0.5, 1.0), (0.25, 100.0), (1.0, 1.0),
+    (2.0, 3.0), (3.0, 2.0), (1.0, 0.0), (100.0, 0.0),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    job_count=st.integers(0, 40),
+    k=st.integers(1, 6),
+    m=st.integers(1, 8),
+    w_frac=st.floats(0, 1),
+    weights=WEIGHTS,
+)
+def test_brute_force_matches_load_vector_scan(job_count, k, m, w_frac, weights):
+    # the weights include drop_weight < overload_weight, overload_weight 0
+    # and ratios that tie two overload counts
+    w = round(w_frac * m)
+    cfg = SchedulerFitnessConfig(
+        overload=OverloadConfig(w=w, delta=0),
+        drop_weight=weights[0],
+        overload_weight=weights[1],
+    )
+    assert brute_force_best(job_count, k, m, cfg) == scan_load_vectors(job_count, k, m, cfg)
+
+
+def test_tied_overload_counts_sum_and_witness_is_the_largest_vector():
+    # overload_weight 0: placing all 3 jobs as [2, 1] (o = 0) or [3, 0]
+    # (o = 1) both score 0; the witness spells out [3, 0]
+    cfg = SchedulerFitnessConfig(overload=OverloadConfig(w=2, delta=0), overload_weight=0.0)
+    result = brute_force_best(3, 2, 3, cfg)
+    assert result == OracleResult(optimum=0.0, witness=(1, 1, 1), count=8)
+    assert result == scan_load_vectors(3, 2, 3, cfg)
+
+
+def test_brute_force_is_exact_far_beyond_load_vector_budget():
+    # C(32, 12) = 225,792,840 load vectors; every machine takes 20 jobs, all
+    # 12 overload, and 60 jobs are dropped: 100*60 + 12
+    assert math.comb(20 + 12, 12) > ENUMERATION_BUDGET
+    result = brute_force_best(300, 12, 20, fit_cfg(w=10))
+    assert result.optimum == 6012.0
+    assert result.count == math.comb(300, 240) * math.factorial(240) // math.factorial(20) ** 12
+    assert result.witness == tuple(
+        col for col in range(1, 13) for _ in range(20)
+    ) + (None,) * 60
+
+
+def test_brute_force_over_product_budget_raises():
+    # all 3000 jobs fit below w on 64 machines: 64 * 3001 * 65 products
+    assert 64 * 3001 * 65 > PRODUCT_BUDGET
+    with pytest.raises(BudgetError):
+        brute_force_best(3000, 64, 64, fit_cfg(w=48))
+
+
+@pytest.mark.parametrize(
+    "drop_weight, overload_weight, key",
+    [(1e308, 1e308, "drop_weight"), (1e308, 0.0, "drop_weight"),
+     (1e300, 1e308, "overload_weight")],
+)
+def test_weights_that_overflow_a_score_raise_config_error(drop_weight, overload_weight, key):
+    # 11 jobs on 3 machines: drop_weight*11 + overload_weight*3 is infinite
+    cfg = SchedulerFitnessConfig(
+        overload=OverloadConfig(w=2, delta=0),
+        drop_weight=drop_weight,
+        overload_weight=overload_weight,
+    )
+    with pytest.raises(ConfigError) as info:
+        brute_force_best(11, 3, 3, cfg)
+    assert info.value.key == key
+    with pytest.raises(ConfigError) as info:
+        SchedulingProblem(jobs=[Job(i, 1, 0) for i in range(11)], k=3, m=3,
+                          fitness_cfg=cfg, ga_cfg=GaConfig(population_size=4, max_generations=1))
+    assert info.value.key == key
