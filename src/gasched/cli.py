@@ -213,14 +213,15 @@ def _load_jobs(cfg: RunConfig) -> list:
     return jobs
 
 
-def _make_problem(cfg: RunConfig, jobs, seed: int) -> SchedulingProblem:
-    return cfg._build(SchedulingProblem, jobs=jobs, fitness_cfg=cfg.fitness_config(),
+def _make_problem(cfg: RunConfig, jobs, seed: int,
+                  fitness_cfg: SchedulerFitnessConfig) -> SchedulingProblem:
+    return cfg._build(SchedulingProblem, jobs=jobs, fitness_cfg=fitness_cfg,
                       ga_cfg=cfg.ga_config(seed))
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
     jobs = _load_jobs(cfg)
-    result = optimize_schedule(_make_problem(cfg, jobs, cfg.seed))
+    result = optimize_schedule(_make_problem(cfg, jobs, cfg.seed, cfg.fitness_config()))
     _emit(
         {
             "best_fitness": result.fitness,
@@ -242,11 +243,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
     jobs = _load_jobs(cfg)
-    oracle = brute_force_best(len(jobs), cfg.machines, cfg.queue_depth, cfg.fitness_config())
+    fitness_cfg = cfg.fitness_config()
+    oracle = brute_force_best(len(jobs), cfg.machines, cfg.queue_depth, fitness_cfg)
     results = []
     for offset in range(cfg.oracle_sweep):
-        result = optimize_schedule(_make_problem(cfg, jobs, cfg.seed + offset))
-        results.append(result.fitness)
+        # no schedule scores below the exact optimum, so a run that reaches
+        # it stops there with the fitness a run without the floor returns
+        problem = _make_problem(cfg, jobs, cfg.seed + offset, fitness_cfg)
+        results.append(optimize_schedule(problem, floor=oracle.optimum).fitness)
     ga_best = min(results)
     match = ga_best == oracle.optimum
     _emit(

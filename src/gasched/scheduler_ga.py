@@ -8,11 +8,13 @@ order, the rest becoming dropped (all-zero) rows. So every genome scores
 as a physically realizable schedule and the GA optimum is comparable
 with exhaustive search.
 
-:func:`optimize_schedule` runs the GA with ``floor=0.0``: :func:`score`
-is a sum of counts times weights that :class:`SchedulerFitnessConfig`
-keeps positive (``drop_weight``) and non-negative (``overload_weight``),
-both finite, so no schedule scores below 0, and a run whose best reaches
-0 stops there instead of spending its stagnation window.
+:func:`optimize_schedule` runs the GA with a ``floor``, 0 by default:
+:func:`score` is a sum of counts times weights that
+:class:`SchedulerFitnessConfig` keeps positive (``drop_weight``) and
+non-negative (``overload_weight``), both finite, so no schedule scores
+below 0, and a run whose best reaches the floor stops there instead of
+spending its stagnation window. A caller that knows the exact optimum
+(``oracle-check``) passes it as the floor.
 """
 
 from __future__ import annotations
@@ -195,10 +197,14 @@ class OptimizeResult(NamedTuple):
     history: list[float]
 
 
-def optimize_schedule(problem: SchedulingProblem) -> OptimizeResult:
+def optimize_schedule(problem: SchedulingProblem, *, floor: float = 0.0) -> OptimizeResult:
     """Evolve a schedule for the problem's jobs and return the best
     matrix ever seen, its fitness, and the best-fitness history, which
-    ends at the first generation whose best scores 0."""
+    ends at the first generation whose best scores ``<= floor``.
+
+    ``floor`` must be a lower bound on every schedule's score, such as 0
+    or the exact optimum; the matrix and fitness are then those of a run
+    with ``floor=0.0``, and only the history can be shorter."""
     job_ids = [job.id for job in problem.jobs]
     job_count = len(job_ids)
     k, m = problem.k, problem.m
@@ -208,7 +214,7 @@ def optimize_schedule(problem: SchedulingProblem) -> OptimizeResult:
     def initializer(rng):
         return random_placement_genome(job_count, k, m, rng)
 
-    best, history = ga_core.run(initializer, fitness, problem.ga_cfg, floor=0.0)
+    best, history = ga_core.run(initializer, fitness, problem.ga_cfg, floor=floor)
     matrix = decode_schedule(best.genome, job_ids, k, m)
     polished, polished_fitness = _polish(matrix, m, cfg)
     if polished_fitness <= best.fitness:

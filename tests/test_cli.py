@@ -19,6 +19,7 @@ from gasched import (
     SchedulingProblem,
     SimConfig,
     brute_force_best,
+    optimize_schedule,
 )
 from gasched.cli import SUBCOMMANDS, RunConfig, _make_problem, main, parse_config
 from gasched.errors import ConfigError
@@ -299,7 +300,7 @@ def test_every_key_lands_on_its_library_field(tmp_path):
     assert cfg.sim_config() == SimConfig(k=5, m=6, send_failure_prob=0.19, rebalance_interval=7,
                                          horizon=21, max_recalls=8, overload=overload, seed=11)
     jobs = [Job(0, 1, 0)]
-    assert _make_problem(cfg, jobs, 99) == SchedulingProblem(
+    assert _make_problem(cfg, jobs, 99, cfg.fitness_config()) == SchedulingProblem(
         jobs=jobs, k=5, m=6, fitness_cfg=fitness, ga_cfg=ga)
 
 
@@ -512,6 +513,54 @@ def test_oracle_check_sweep_runs_optimize_at_each_seed(tmp_path, capsys):
         single.append(json.loads(capsys.readouterr().out)["best_fitness"])
     assert sweep == single
     assert len(set(sweep)) > 1
+
+
+# criterion 2's grid, then every (w, delta) at J=9, k=3, m=3
+_CHECK_INSTANCES = [
+    (jobs, k, m, w, delta)
+    for jobs in range(1, 8)
+    for k in (1, 2, 3)
+    for m in (1, 2, 3)
+    for w in (1, 2)
+    if w <= m
+    for delta in (0, 1)
+] + [(9, 3, 3, w, delta) for w in range(1, 4) for delta in range(4)]
+
+
+@pytest.mark.parametrize("population", [40, 8])
+def test_oracle_check_sweep_equals_runs_without_the_oracle_floor(tmp_path, capsys, population):
+    # oracle-check stops each run at the oracle optimum; its output must be
+    # that of runs that stop only at 0. At population 40 generation 0 finds
+    # the optimum; at 8 some runs evolve to it, where a floor above the
+    # optimum would stop them early.
+    assert len(_CHECK_INSTANCES) == 222
+    cfg_path = write_config(tmp_path, {"oracle_sweep": 3, "population": population})
+    workloads = {}
+    for jobs in {inst[0] for inst in _CHECK_INSTANCES}:
+        workloads[jobs] = tmp_path / f"jobs{jobs}.txt"
+        workloads[jobs].write_text("".join(f"{i} 0 1\n" for i in range(jobs)))
+    cut = 0  # runs that reach an optimum above 0 before their last generation
+    for jobs, k, m, w, delta in _CHECK_INSTANCES:
+        code = main([
+            "oracle-check", "--config", cfg_path, "--workload", str(workloads[jobs]),
+            "--machines", str(k), "--queue-depth", str(m), "--w", str(w), "--delta", str(delta),
+        ])
+        doc = json.loads(capsys.readouterr().out)
+        fitness_cfg = SchedulerFitnessConfig(overload=OverloadConfig(w=w, delta=delta))
+        optimum = brute_force_best(jobs, k, m, fitness_cfg).optimum
+        sweep = []
+        for seed in range(3):
+            result = optimize_schedule(SchedulingProblem(
+                jobs=[Job(i, 1, 0) for i in range(jobs)], k=k, m=m, fitness_cfg=fitness_cfg,
+                ga_cfg=GaConfig(population_size=population, max_generations=200, rng_seed=seed)))
+            sweep.append(result.fitness)
+            cut += optimum > 0 and optimum in result.history[:-1]
+        assert doc["oracle_optimum"] == optimum
+        assert doc["ga_sweep"] == sweep
+        assert doc["ga_best"] == min(sweep)
+        assert doc["match"] is (min(sweep) == optimum)
+        assert code == (0 if doc["match"] else 1)
+    assert cut > 0
 
 
 def test_oracle_check_solves_beyond_assignment_budget(tmp_path):

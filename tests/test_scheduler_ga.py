@@ -24,6 +24,7 @@ from gasched import (
     run,
     schedule_fitness,
 )
+from gasched import ga_core
 from gasched.errors import ConfigError, DimensionError
 from gasched.scheduler_ga import _polish, random_placement_genome, score
 
@@ -269,6 +270,46 @@ def test_runs_that_score_zero_stop_at_that_generation():
     for jobs, k, m, w, delta in zero:
         for seed in range(3):
             assert optimize_schedule(problem(jobs, k, m, w, delta, seed=seed)).history == [0.0]
+
+
+@st.composite
+def small_shapes(draw):
+    jobs, k, m = draw(st.integers(1, 7)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return jobs, k, m, draw(st.integers(0, m)), draw(st.integers(0, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_shapes(), st.integers(0, 2**32 - 1), st.integers(4, 12))
+def test_a_floor_at_the_optimum_only_cuts_the_history(shape, seed, population):
+    # small populations make some runs evolve to the optimum, where a floor
+    # above it would stop them early
+    jobs, k, m, w, delta = shape
+    p = problem(jobs, k, m, w, delta, seed=seed, population=population)
+    optimum = brute_force_best(jobs, k, m, p.fitness_cfg).optimum
+    free = optimize_schedule(p)
+    floored = optimize_schedule(p, floor=optimum)
+    assert floored.matrix == free.matrix
+    assert floored.fitness == free.fitness
+    reached = next((i for i, f in enumerate(free.history) if f <= optimum), len(free.history))
+    assert floored.history == free.history[:reached + 1]
+
+
+def test_a_floor_at_a_positive_optimum_skips_every_generation_step(monkeypatch):
+    steps = []
+    step = ga_core.step_generation
+
+    def counted(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(ga_core, "step_generation", counted)
+    p = problem(J=7, k=3, m=3, w=1, delta=0)
+    optimum = brute_force_best(7, 3, 3, p.fitness_cfg).optimum
+    assert optimum == 2.0
+    assert optimize_schedule(p, floor=optimum).history == [optimum]
+    assert steps == []
+    optimize_schedule(p)
+    assert steps
 
 
 def test_optimizer_never_beats_initial_population_best():
