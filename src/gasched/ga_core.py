@@ -8,7 +8,11 @@ fitness)`` triple always reproduces the same output.
 A run stops at the first of three rules: the generation budget, a
 stagnant best fitness (both in :class:`GaConfig`), and a best fitness at
 or below the ``floor`` that a caller who knows a lower bound on its
-fitness may pass to :func:`run`.
+fitness may pass to :func:`run`. The floor also cuts the initial
+generation, which :func:`run` builds and scores one member at a time, at
+its first member at or below it. That is exact only because ``floor`` is
+a lower bound: such a member is the first of the tied best, so the run
+returns what a run without a floor returns, with a shorter history.
 
 A :class:`Genome` is stored as one Python ``int`` bit mask plus its
 length: bit ``i`` of the mask is position ``i`` of the genome (for a
@@ -177,18 +181,20 @@ def stream(seed: int, tag: str) -> random.Random:
     return random.Random(f"{seed}/{tag}")
 
 
+def _scored(genome: Genome, fitness: FitnessFunction) -> Individual:
+    """``genome`` with its fitness; a non-finite value is a ValueError."""
+    value = float(fitness(genome))
+    if not math.isfinite(value):
+        raise ValueError("fitness values must be finite")
+    return Individual(genome, value)
+
+
 def evaluate(population: Population, fitness: FitnessFunction) -> Population:
     """Return a population whose members all carry ``fitness(genome)``.
 
     Genome order and content are untouched; only fitness values are set.
     """
-    members = []
-    for ind in population.members:
-        value = float(fitness(ind.genome))
-        if not math.isfinite(value):
-            raise ValueError("fitness values must be finite")
-        members.append(Individual(ind.genome, value))
-    return Population._from_members(members)
+    return Population._from_members([_scored(ind.genome, fitness) for ind in population.members])
 
 
 def _indices_below(rng: random.Random, n: int, count: int) -> list[int]:
@@ -345,16 +351,29 @@ def run(
     """Full GA loop; returns the best individual ever seen and the
     per-generation best-fitness history (initial generation included).
 
-    ``floor``, if given, is a lower bound on every fitness value: the run
-    stops after the first generation whose best is ``<= floor``, before
-    :func:`has_converged` is asked, since no later generation could beat
-    it strictly. The history then ends at that generation; the draws up
-    to it and the best individual are those of a run without a floor.
+    ``floor``, if given, is a lower bound on every fitness value. The
+    initial generation is built and scored one member at a time, and the
+    run stops at the first member scoring ``<= floor``, returning it with
+    history ``[its fitness]``. Otherwise the run stops after the first
+    generation whose best is ``<= floor``, before :func:`has_converged` is
+    asked. Both cuts are exact only because ``floor`` is a lower bound:
+    nothing later can beat a value at the floor strictly, and no earlier
+    member reached it, so the best individual is that of a run without a
+    floor and only the history is shorter.
     """
     init_rng = stream(config.rng_seed, "init")
+    members = []
+    for _ in range(config.population_size):
+        genome = initializer(init_rng)
+        # Population(members) below checks this too, but only once all are built
+        if members and len(genome) != len(members[0].genome):
+            raise DimensionError("all genomes in a population must share one length")
+        member = _scored(genome, fitness)
+        if floor is not None and member.fitness <= floor:
+            return member, [member.fitness]
+        members.append(member)
+    population = Population(members)
     evolve_rng = stream(config.rng_seed, "evolve")
-    members = [Individual(initializer(init_rng)) for _ in range(config.population_size)]
-    population = evaluate(Population(members), fitness)
     top = _best(population)
     best = Individual(top.genome, top.fitness)
     history = [top.fitness]

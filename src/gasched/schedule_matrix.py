@@ -71,6 +71,17 @@ class ScheduleMatrix:
             raise ValueError("job labels must be unique")
 
     @classmethod
+    def _from_parts(
+        cls, m: int, k: int, head: np.ndarray, body: np.ndarray, labels: list[JobId | None]
+    ) -> "ScheduleMatrix":
+        """Trusted constructor for parts that are valid by construction:
+        ``m, k >= 1``, int8 0/1 arrays of shapes ``(k,)`` and ``(m, k)``,
+        and ``m + 1`` labels with no job id twice; checks nothing."""
+        matrix = object.__new__(cls)
+        matrix.m, matrix.k, matrix.head, matrix.body, matrix.labels = m, k, head, body, labels
+        return matrix
+
+    @classmethod
     def empty(cls, m: int, k: int) -> "ScheduleMatrix":
         return cls(m, k, np.zeros(k, dtype=np.int8), np.zeros((m, k), dtype=np.int8), [None] * (m + 1))
 

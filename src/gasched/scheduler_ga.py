@@ -156,10 +156,14 @@ def decode_schedule(
     """Genome -> matrix with one body row per job, by the rule that
     :func:`make_fitness` scores: row ``r`` keeps the lowest set bit of
     its ``k``-bit field (its leftmost 1), and each column keeps its first
-    ``m`` rows in row order; every other row stays all zero (dropped)."""
+    ``m`` rows in row order; every other row stays all zero (dropped).
+    The matrix is built from these parts unchecked, since they are valid
+    by construction once the genome length and the job ids are."""
     job_count = len(job_ids)
     if genome.length != job_count * k:
         raise DimensionError(f"genome length {genome.length} != jobs*k = {job_count * k}")
+    if len(set(job_ids)) != job_count:
+        raise ValueError("job labels must be unique")
     body = np.zeros((job_count, k), dtype=np.int8)
     loads = [0] * k
     field = (1 << k) - 1
@@ -172,7 +176,9 @@ def decode_schedule(
             if loads[j] < m:
                 loads[j] += 1
                 body[r, j] = 1
-    return ScheduleMatrix(job_count, k, np.zeros(k, dtype=np.int8), body, [None, *job_ids])
+    return ScheduleMatrix._from_parts(
+        job_count, k, np.zeros(k, dtype=np.int8), body, [None, *job_ids]
+    )
 
 
 def random_placement_genome(job_count: int, k: int, m: int, rng) -> Genome:
@@ -228,8 +234,13 @@ def _polish(
     """The final polish, on one copy of ``matrix``: spread overloaded
     queues, then requeue each dropped row on the least-loaded column still
     below ``m`` (ties to the lowest index), leaving the rest dropped once
-    every column is full. Returns the copy and its fitness."""
-    out = matrix.copy()
+    every column is full. Returns the copy and its fitness.
+
+    The copy is built unchecked: the parts of a valid matrix, such as the
+    one :func:`decode_schedule` returns, are valid."""
+    out = ScheduleMatrix._from_parts(
+        matrix.m, matrix.k, matrix.head.copy(), matrix.body.copy(), list(matrix.labels)
+    )
     loads = column_loads(out)
     _rebalance_crossover_inplace(out, loads, cfg.overload)
     for i in out.dropped_rows():

@@ -19,6 +19,7 @@ from gasched import (
     step_generation,
 )
 from gasched.errors import DimensionError, StateError
+from gasched.ga_core import stream
 
 from conftest import popcount_fitness
 
@@ -408,11 +409,61 @@ def test_run_with_a_floor_is_the_floorless_run_cut_at_its_first_entry_at_or_belo
     best, history = run(init, popcount_fitness(length), cfg)
     best_f, history_f = run(init, popcount_fitness(length), cfg, floor=floor)
     hits = [i for i, value in enumerate(history) if value <= floor]
-    assert history_f == (history[: hits[0] + 1] if hits else history)
     if floor <= 0:  # a true lower bound of popcount: nothing after the cut beats it
+        assert history_f == (history[: hits[0] + 1] if hits else history)
         assert (best_f.genome, best_f.fitness) == (best.genome, best.fitness)
     else:
-        assert best_f.fitness == min(history_f)
+        # not a lower bound, so the rule is run's literal one: the first
+        # generation-0 member at or below the floor, in initializer order
+        init_rng = stream(seed, "init")
+        generation0 = [init(init_rng) for _ in range(cfg.population_size)]
+        first = next((g for g in generation0 if sum(g.bits) <= floor), None)
+        if first is not None:
+            assert (best_f.genome, best_f.fitness) == (first, sum(first.bits))
+            assert history_f == [sum(first.bits)]
+        else:
+            assert history_f == (history[: hits[0] + 1] if hits else history)
+            assert best_f.fitness == min(history_f)
+
+
+def test_run_with_the_optimum_as_floor_draws_generation_0_up_to_its_first_optimal_member():
+    # popcount over 3 bits: the optimum 0 is the all-zero genome, which a
+    # uniform draw gives 1 time in 8, so generation 0 holds it at varying places
+    counts = []
+    for seed in range(40):
+        cfg = GaConfig(population_size=20, max_generations=40, rng_seed=seed)
+        init_rng = stream(seed, "init")
+        values = [sum(random_genome(3, init_rng).bits) for _ in range(20)]
+        if 0 not in values:
+            continue
+        calls = []
+
+        def init(r):
+            calls.append(1)
+            return random_genome(3, r)
+
+        best, history = run(init, popcount_fitness(3), cfg, floor=0.0)
+        assert len(calls) == values.index(0) + 1
+        assert (best.fitness, history) == (0.0, [0.0])
+        counts.append(len(calls))
+    assert len(counts) > 30 and 1 in counts and max(counts) > 5
+
+
+@pytest.mark.parametrize("floor", (None, 0.0))
+def test_run_rejects_a_non_finite_fitness_on_the_first_member(floor):
+    cfg = GaConfig(population_size=4, max_generations=5)
+    with pytest.raises(ValueError, match="finite"):
+        run(lambda r: random_genome(3, r), lambda g: float("nan"), cfg, floor=floor)
+
+
+@pytest.mark.parametrize("second", ((1, 1, 1, 1), (0, 0, 0, 0)))
+def test_run_rejects_mixed_lengths_before_the_member_at_the_floor(second):
+    # the second genome is one bit longer; the third (and, in the second
+    # case, the longer one itself) scores at the floor 0
+    genomes = iter([Genome((1, 1, 1)), Genome(second), Genome((0, 0, 0)), Genome((1, 1, 1))])
+    cfg = GaConfig(population_size=4, max_generations=5)
+    with pytest.raises(DimensionError, match="share one length"):
+        run(lambda r: next(genomes), lambda g: float(sum(g.bits)), cfg, floor=0.0)
 
 
 # ------------------------------------------------------ epsilon_good_set

@@ -202,6 +202,11 @@ def test_decode_rejects_wrong_length():
         decode_schedule(Genome((1, 0, 1)), [1, 2], 2, 2)
 
 
+def test_decode_rejects_repeated_job_ids():
+    with pytest.raises(ValueError, match="unique"):
+        decode_schedule(Genome((1, 0, 0, 1)), [1, 1], 2, 2)
+
+
 def test_make_fitness_matches_matrix_path(rng):
     for _ in range(200):
         job_count = rng.randint(1, 6)
@@ -401,6 +406,26 @@ def test_polish_equals_rebalance_then_capacity_requeue_and_keeps_input(rng):
         rebalanced, _ = rebalance_crossover(matrix, cfg.overload)
         assert out == capacity_requeue(rebalanced, m)
         assert value == schedule_fitness(out, cfg)
+
+
+def validated_rebuild(matrix):
+    return ScheduleMatrix(
+        matrix.m, matrix.k, matrix.head.copy(), matrix.body.copy(), list(matrix.labels)
+    )
+
+
+def test_decode_and_polish_build_matrices_the_validating_constructor_accepts(rng):
+    # both build their matrix unchecked; a rebuild through the public
+    # constructor must accept it and equal it, with the same int8 arrays
+    for _ in range(300):
+        job_count, k = rng.randint(1, 8), rng.randint(1, 4)
+        m = rng.randint(1, 3)
+        cfg = fit_cfg(w=rng.randint(0, m), delta=rng.randint(0, k))
+        decoded = decode_schedule(random_genome(job_count * k, rng), list(range(job_count)), k, m)
+        polished, _ = _polish(decoded, m, cfg)
+        for matrix in (decoded, polished):
+            assert matrix == validated_rebuild(matrix)
+            assert matrix.head.dtype == matrix.body.dtype == np.int8
 
 
 def test_polish_improves_on_the_ga_best_at_a_mid_size_shape():
