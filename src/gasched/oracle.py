@@ -23,11 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, DimensionError
 from .scheduler_ga import SchedulerFitnessConfig, schedule_fitness, score
 from .schedule_matrix import ScheduleMatrix, check_shape
-
-import numpy as np
 
 # big-integer products in the count's convolution; at the limit a call
 # takes a few seconds
@@ -43,20 +41,16 @@ class OracleResult:
     count: int
 
 
-def assignment_to_matrix(
-    assignment: Sequence[int | None], k: int, job_ids: Sequence[int] | None = None
-) -> ScheduleMatrix:
-    """Materialize an assignment as a matrix with one body row per job."""
-    job_count = len(assignment)
-    if job_ids is None:
-        job_ids = list(range(job_count))
-    body = np.zeros((job_count, k), dtype=np.int8)
-    for row, col in enumerate(assignment):
-        if col is not None:
-            body[row, col - 1] = 1
-    return ScheduleMatrix(
-        job_count, k, np.zeros(k, dtype=np.int8), body, [None] + list(job_ids)
-    )
+def assignment_to_matrix(assignment: Sequence[int | None], k: int) -> ScheduleMatrix:
+    """Materialize an assignment as a matrix with one body row per job,
+    job ``i`` labelled ``i``; raise DimensionError naming the first job
+    whose machine lies outside 1..k."""
+    rows = [0]  # the head row
+    for job, col in enumerate(assignment):
+        if col is not None and not 1 <= col <= k:
+            raise DimensionError(f"job {job}: machine {col} is outside 1..{k}")
+        rows.append(0 if col is None else 1 << (col - 1))
+    return ScheduleMatrix._from_parts(len(assignment), k, rows, [None, *range(len(assignment))])
 
 
 def brute_force_best(

@@ -10,30 +10,35 @@ The simulator retires finished jobs straight from service, so in a run
 the head row is only the recall slot: a failed job's all-zero row waits
 there for one tick before ``recall_job`` puts it back in the queue.
 
-Machine indices are 1-based on the public surface, matching the column
-numbering; internals are 0-based numpy arrays. The public operators are
-pure: they return a new matrix and leave their input untouched, so values
-may be shared freely across threads. Each queue operator the simulator
-runs (``shift_up``, ``recall_job``, ``mutate_dropped_rows``,
-``rebalance_crossover``) is a thin wrapper that copies its input and runs
-the operator's in-place core (``_shift_up_inplace`` and so on) on the
-copy. A single owner of a matrix, such as the simulator's run state or
-the final polish of ``optimize_schedule``, calls the cores directly and
-so builds no new matrix per step.
+Row i is stored as ``rows[i]``, a k-bit ``int`` mask with bit j set for
+a 1 at machine j + 1 (the layout of a genome's job row), beside its label
+``labels[i]``. Machine indices are 1-based on the public surface. The
+``head`` and ``body`` properties build read-only int8 numpy arrays of the
+rows on each access; no operator reads them.
+
+The public operators are pure: they return a new matrix and leave their
+input untouched, so values may be shared freely across threads. Each
+queue operator the simulator runs (``shift_up``, ``recall_job``,
+``mutate_dropped_rows``, ``rebalance_crossover``) is a thin wrapper that
+copies its input and runs the operator's in-place core
+(``_shift_up_inplace`` and so on) on the copy. A single owner of a
+matrix, such as the simulator's run state or the final polish of
+``optimize_schedule``, calls the cores directly and so builds no new
+matrix per step.
 
 The cores that read column loads (``_recall_job_inplace``,
 ``_mutate_dropped_rows_inplace``, ``_rebalance_crossover_inplace``) take
-the caller's body column loads, as ``column_loads`` returns them, instead
-of summing the matrix themselves, and keep that list equal to
-``column_loads`` of the edited matrix. Their pure wrappers pass
-``column_loads`` of the copy, so each wrapper sums the matrix once per
-call.
+the caller's body column loads, as ``column_loads`` returns them, and
+keep that list equal to ``column_loads`` of the edited matrix; their pure
+wrappers pass ``column_loads`` of the copy.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -43,66 +48,99 @@ from .errors import (
 
 JobId = int
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
-@dataclass(eq=False)
+
+@dataclass(init=False)
 class ScheduleMatrix:
+    """``ScheduleMatrix(m, k, head, body, labels)`` validates: ``head`` holds
+    ``k`` entries and ``body`` ``m`` such rows, each entry an integer (Python
+    or numpy) equal to 0 or 1, and the ``m + 1`` labels no job id twice."""
+
     m: int
     k: int
-    head: np.ndarray
-    body: np.ndarray
+    rows: list[int]
     labels: list[JobId | None]
 
+    def __init__(self, m: int, k: int, head, body, labels: list[JobId | None]):
+        # rows holds the 0/1 rows as given until __post_init__ checks and packs them
+        self.m, self.k, self.rows, self.labels = m, k, [head, *body], labels
+        self.__post_init__()
+
     def __post_init__(self):
-        if self.m < 1 or self.k < 1:
+        m, k = self.m, self.k
+        if m < 1 or k < 1:
             raise DimensionError("matrix needs m >= 1 queue rows and k >= 1 machines")
-        self.head = np.asarray(self.head, dtype=np.int8)
-        self.body = np.asarray(self.body, dtype=np.int8)
-        if self.head.shape != (self.k,):
-            raise DimensionError(f"head row must have shape ({self.k},)")
-        if self.body.shape != (self.m, self.k):
-            raise DimensionError(f"body must have shape ({self.m}, {self.k})")
-        # as uint8, every int8 value other than 0 and 1 (negatives included) is > 1
-        if (self.head.view(np.uint8) > 1).any() or (self.body.view(np.uint8) > 1).any():
+        head, *body = self.rows
+        if len(head) != k:
+            raise DimensionError(f"head row must have shape ({k},)")
+        if len(body) != m or any(len(row) != k for row in body):
+            raise DimensionError(f"body must have shape ({m}, {k})")
+        try:
+            # one byte per entry; raises unless every entry is an integer in 0..255
+            entries = bytes(chain.from_iterable(self.rows))
+        except (TypeError, ValueError):
+            raise ValueError("matrix entries must be 0 or 1") from None
+        if entries.translate(None, b"\x00\x01"):
             raise ValueError("matrix entries must be 0 or 1")
-        if len(self.labels) != self.m + 1:
+        # entry j is bit j, so a row's reversed 0/1 string is its mask in
+        # binary; reversed whole, the digits list the last row first
+        digits = entries[::-1].translate(_BIT_CHARS)
+        self.rows = [int(digits[i - k:i], 2) for i in range(len(digits), 0, -k)]
+        if len(self.labels) != m + 1:
             raise DimensionError("labels must hold one entry per row (m + 1 total)")
         present = [lab for lab in self.labels if lab is not None]
         if len(present) != len(set(present)):
             raise ValueError("job labels must be unique")
 
     @classmethod
-    def _from_parts(
-        cls, m: int, k: int, head: np.ndarray, body: np.ndarray, labels: list[JobId | None]
-    ) -> "ScheduleMatrix":
-        """Trusted constructor for parts that are valid by construction:
-        ``m, k >= 1``, int8 0/1 arrays of shapes ``(k,)`` and ``(m, k)``,
-        and ``m + 1`` labels with no job id twice; checks nothing."""
+    def _from_parts(cls, m: int, k: int, rows: list[int], labels: list[JobId | None]):
+        """Trusted constructor for valid parts: ``m, k >= 1``, ``m + 1`` masks
+        below ``2**k`` and ``m + 1`` labels, no job id twice; checks nothing."""
         matrix = object.__new__(cls)
-        matrix.m, matrix.k, matrix.head, matrix.body, matrix.labels = m, k, head, body, labels
+        matrix.m, matrix.k, matrix.rows, matrix.labels = m, k, rows, labels
         return matrix
 
     @classmethod
     def empty(cls, m: int, k: int) -> "ScheduleMatrix":
-        return cls(m, k, np.zeros(k, dtype=np.int8), np.zeros((m, k), dtype=np.int8), [None] * (m + 1))
+        return cls(m, k, [0] * k, [[0] * k] * m, [None] * (m + 1))
 
     def copy(self) -> "ScheduleMatrix":
-        return ScheduleMatrix(self.m, self.k, self.head.copy(), self.body.copy(), list(self.labels))
+        # the parts of a valid matrix are valid
+        return ScheduleMatrix._from_parts(self.m, self.k, list(self.rows), list(self.labels))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScheduleMatrix):
-            return NotImplemented
-        return (
-            self.m == other.m
-            and self.k == other.k
-            and bool((self.head == other.head).all())
-            and bool((self.body == other.body).all())
-            and self.labels == other.labels
-        )
+    @property
+    def head(self) -> np.ndarray:
+        """The head row as a read-only int8 array of shape ``(k,)``."""
+        return _dense(self.rows[:1], self.k)[0]
+
+    @property
+    def body(self) -> np.ndarray:
+        """The body rows as a read-only int8 array of shape ``(m, k)``."""
+        return _dense(self.rows[1:], self.k)
 
     def dropped_rows(self) -> list[int]:
         """0-based body rows holding a job whose row is all zero, ascending."""
-        empty = np.flatnonzero(~self.body.any(axis=1)).tolist()
-        return [i for i in empty if self.labels[i + 1] is not None]
+        rows, labels = self.rows, self.labels
+        return [i - 1 for i in range(1, self.m + 1) if not rows[i] and labels[i] is not None]
+
+
+def _dense(rows: list[int], k: int) -> np.ndarray:
+    """The masks as a read-only int8 array of shape ``(len(rows), k)``."""
+    width = (k + 7) // 8
+    data = b"".join(row.to_bytes(width, "little") for row in rows)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    dense = bits.reshape(len(rows), 8 * width)[:, :k].astype(np.int8)
+    dense.flags.writeable = False
+    return dense
+
+
+def _add_bits(loads: list[int], row: int, count: int) -> None:
+    """Add ``count`` to ``loads[j]`` for each set bit j of ``row``."""
+    while row:
+        low = row & -row
+        loads[low.bit_length() - 1] += count
+        row ^= low
 
 
 def shift_up(matrix: ScheduleMatrix) -> ScheduleMatrix:
@@ -119,12 +157,10 @@ def shift_up(matrix: ScheduleMatrix) -> ScheduleMatrix:
 
 
 def _shift_up_inplace(matrix: ScheduleMatrix) -> None:
-    # row tests use np.count_nonzero: one C call (~0.4 us) against ~1.3 us for ndarray.any
-    if np.count_nonzero(matrix.head) or matrix.labels[0] is not None:
+    if matrix.rows[0] or matrix.labels[0] is not None:
         raise StateError("head row must be cleared (complete/recall) before shifting")
-    matrix.head[:] = matrix.body[0]
-    matrix.body[:-1] = matrix.body[1:]
-    matrix.body[-1] = 0
+    del matrix.rows[0]
+    matrix.rows.append(0)
     del matrix.labels[0]
     matrix.labels.append(None)
 
@@ -143,18 +179,18 @@ def complete_heads(
     to_recall: list[JobId] = []
     job = out.labels[0]
     if job is not None:
-        if np.count_nonzero(out.head):  # one C call, cheaper than ndarray.any
-            completed.append(job)
-        else:
-            to_recall.append(job)
-        out.labels[0] = None
-    out.head[:] = 0
+        (completed if out.rows[0] else to_recall).append(job)
+    out.rows[0], out.labels[0] = 0, None
     return out, completed, to_recall
 
 
 def column_loads(matrix: ScheduleMatrix) -> list[int]:
     """Per-machine body loads, index 0 = machine 1."""
-    return matrix.body.sum(axis=0).tolist()
+    loads = [0] * matrix.k
+    # equal rows are counted once: queue rows are mostly one-hot or zero
+    for row, count in Counter(islice(matrix.rows, 1, None)).items():
+        _add_bits(loads, row, count)
+    return loads
 
 
 def recall_job(matrix: ScheduleMatrix, job: JobId) -> ScheduleMatrix:
@@ -172,11 +208,8 @@ def _recall_job_inplace(matrix: ScheduleMatrix, loads: list[int], job: JobId) ->
     if matrix.labels[matrix.m] is not None:
         raise CapacityError("last queue row is occupied; job cannot be recalled now")
     col = loads.index(min(loads))
-    last = matrix.body[matrix.m - 1]
-    for j in np.flatnonzero(last).tolist():  # stray bits of the unlabeled row
-        loads[j] -= 1
-    last[:] = 0
-    last[col] = 1
+    _add_bits(loads, matrix.rows[matrix.m], -1)  # stray bits of the unlabeled row
+    matrix.rows[matrix.m] = 1 << col
     loads[col] += 1
     matrix.labels[matrix.m] = job
 
@@ -187,13 +220,8 @@ def repair_rows(matrix: ScheduleMatrix) -> ScheduleMatrix:
     Any row with several 1s keeps only its leftmost; feasible rows pass
     through untouched, so the repair is idempotent.
     """
-    out = matrix.copy()
-    for row in (out.head, *out.body):
-        if row.sum() > 1:
-            keep = int(np.argmax(row))
-            row[:] = 0
-            row[keep] = 1
-    return out
+    rows = [row & -row for row in matrix.rows]  # each row's lowest set bit
+    return ScheduleMatrix._from_parts(matrix.m, matrix.k, rows, list(matrix.labels))
 
 
 def inverse_select(matrix: ScheduleMatrix, cfg: "OverloadConfig") -> set[int]:
@@ -260,11 +288,11 @@ def _rebalance_crossover_inplace(
             return False
         src = min(over, key=lambda j: (-loads[j], j))
         tgt = min(targets, key=lambda j: (loads[j], j))
-        # rows with a 1 at src and a 0 at tgt; never empty, since
-        # loads[tgt] < w < loads[src] leaves some src row free at tgt
-        row = int(np.flatnonzero(matrix.body[:, src] > matrix.body[:, tgt])[-1])
-        matrix.body[row, src] = 0
-        matrix.body[row, tgt] = 1
+        # the deepest body row with a 1 at src and a 0 at tgt; one exists,
+        # since loads[tgt] < w < loads[src] leaves some src row free at tgt
+        src_bit, pair = 1 << src, (1 << src) | (1 << tgt)
+        row = next(i for i in range(matrix.m, 0, -1) if matrix.rows[i] & pair == src_bit)
+        matrix.rows[row] ^= pair
         loads[src] -= 1
         loads[tgt] += 1
 
@@ -282,16 +310,15 @@ def _mutate_dropped_rows_inplace(
 ) -> None:
     for i in matrix.dropped_rows():
         col = rng.randrange(matrix.k)
-        matrix.body[i, col] = 1
+        matrix.rows[i + 1] = 1 << col
         loads[col] += 1
 
 
 def to_text(matrix: ScheduleMatrix) -> str:
     """Plain-text snapshot: dims, one line per row, then the label line."""
     lines = [f"{matrix.m} {matrix.k}"]
-    lines.append(" ".join(str(int(b)) for b in matrix.head))
-    for i in range(matrix.m):
-        lines.append(" ".join(str(int(b)) for b in matrix.body[i]))
+    # the binary string of a mask lists bit k-1 first
+    lines.extend(" ".join(format(row, f"0{matrix.k}b")[::-1]) for row in matrix.rows)
     lines.append(",".join("-" if lab is None else str(lab) for lab in matrix.labels))
     return "\n".join(lines) + "\n"
 
@@ -306,10 +333,4 @@ def from_text(text: str) -> ScheduleMatrix:
         raise ValueError("matrix snapshot has the wrong number of lines")
     rows = [[int(x) for x in lines[1 + i].split()] for i in range(m + 1)]
     labels = [None if tok == "-" else int(tok) for tok in lines[m + 2].split(",")]
-    return ScheduleMatrix(
-        m,
-        k,
-        np.array(rows[0], dtype=np.int8),
-        np.array(rows[1:], dtype=np.int8),
-        labels,
-    )
+    return ScheduleMatrix(m, k, rows[0], rows[1:], labels)

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
-
 from . import ga_core
 from .errors import ConfigError, DimensionError, at_least, check_fields, checked
 from .ga_core import GaConfig, Genome
@@ -150,35 +148,34 @@ def make_fitness(job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig):
     return fitness
 
 
-def decode_schedule(
-    genome: Genome, job_ids: Sequence[int], k: int, m: int
-) -> ScheduleMatrix:
+def decode_schedule(genome: Genome, job_ids: Sequence[int], k: int, m: int) -> ScheduleMatrix:
     """Genome -> matrix with one body row per job, by the rule that
     :func:`make_fitness` scores: row ``r`` keeps the lowest set bit of
     its ``k``-bit field (its leftmost 1), and each column keeps its first
     ``m`` rows in row order; every other row stays all zero (dropped).
-    The matrix is built from these parts unchecked, since they are valid
-    by construction once the genome length and the job ids are."""
+    A field is laid out as a matrix row's mask, so a row is ``field &
+    -field`` or 0. The matrix is built unchecked: its parts are valid once
+    the genome length and the job ids are."""
     job_count = len(job_ids)
     if genome.length != job_count * k:
         raise DimensionError(f"genome length {genome.length} != jobs*k = {job_count * k}")
     if len(set(job_ids)) != job_count:
         raise ValueError("job labels must be unique")
-    body = np.zeros((job_count, k), dtype=np.int8)
+    rows = [0]  # the head row
     loads = [0] * k
-    field = (1 << k) - 1
+    width = (1 << k) - 1
     mask = genome.mask
-    for r in range(job_count):
-        row = mask & field
+    for _ in range(job_count):
+        field = mask & width
         mask >>= k
-        if row:
-            j = (row & -row).bit_length() - 1
-            if loads[j] < m:
-                loads[j] += 1
-                body[r, j] = 1
-    return ScheduleMatrix._from_parts(
-        job_count, k, np.zeros(k, dtype=np.int8), body, [None, *job_ids]
-    )
+        row = field & -field
+        j = row.bit_length() - 1
+        if row and loads[j] < m:
+            loads[j] += 1
+            rows.append(row)
+        else:
+            rows.append(0)  # an all-zero field, or a full column
+    return ScheduleMatrix._from_parts(job_count, k, rows, [None, *job_ids])
 
 
 def random_placement_genome(job_count: int, k: int, m: int, rng) -> Genome:
@@ -234,19 +231,14 @@ def _polish(
     """The final polish, on one copy of ``matrix``: spread overloaded
     queues, then requeue each dropped row on the least-loaded column still
     below ``m`` (ties to the lowest index), leaving the rest dropped once
-    every column is full. Returns the copy and its fitness.
-
-    The copy is built unchecked: the parts of a valid matrix, such as the
-    one :func:`decode_schedule` returns, are valid."""
-    out = ScheduleMatrix._from_parts(
-        matrix.m, matrix.k, matrix.head.copy(), matrix.body.copy(), list(matrix.labels)
-    )
+    every column is full. Returns the copy and its fitness."""
+    out = matrix.copy()
     loads = column_loads(out)
     _rebalance_crossover_inplace(out, loads, cfg.overload)
     for i in out.dropped_rows():
         col = loads.index(min(loads))
         if loads[col] >= m:
             break
-        out.body[i, col] = 1
+        out.rows[i + 1] = 1 << col
         loads[col] += 1
     return out, score(loads, len(out.dropped_rows()), cfg)

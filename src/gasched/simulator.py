@@ -10,19 +10,12 @@ into it is recalled to the back of the queue on the next tick, until its
 recall budget runs out. Every ``rebalance_interval`` ticks the
 mutation/rebalance operators tidy the queues.
 
-The run state owns its matrix, so ``dispatch`` and ``tick`` edit it in
-place through the in-place cores of the queue operators: after
-``SimState`` builds the empty matrix, a run constructs no further
-``ScheduleMatrix``.
-
-The per-machine body column loads are run state too (``SimState.loads``),
-kept in step with the matrix instead of summed from it on every send and
-every tick: a successful send adds one, the shift that moves a queued job
-into the head row takes one off, and the recall core adds one in place.
-Every ``rebalance_interval`` ticks the loads are summed from the matrix
-once with ``column_loads``: a mismatch with the run state raises
-``StateError``, and otherwise the mutation/rebalance cores keep that sum
-up to date and it becomes the new run state.
+The run state owns its matrix, so ``dispatch`` and ``tick`` edit its row
+masks in place, directly or through the in-place cores of the queue
+operators: after ``SimState`` builds the empty matrix, a run constructs
+no further ``ScheduleMatrix``. The per-machine column loads are run state
+too, kept in step with the matrix and audited against it every
+``rebalance_interval`` ticks (see :class:`SimState`).
 
 A job is always in exactly one place - queued (labeled matrix row), in
 service, completed, or dropped - and the simulation checks that
@@ -156,8 +149,8 @@ def dispatch(state: SimState, arrivals: list[Job], rng: random.Random) -> SimSta
     matrix = state.matrix
     labels = matrix.labels
     loads = state.loads
-    # label index of the deepest row that may still be free; rows only
-    # fill during a dispatch, so the scan from the end never goes back down
+    # the deepest row that may still be free; rows only fill during a
+    # dispatch, so the scan from the end never goes back down
     slot = matrix.m
     for job in arrivals:
         state.arrived += 1
@@ -173,7 +166,7 @@ def dispatch(state: SimState, arrivals: list[Job], rng: random.Random) -> SimSta
         labels[slot] = job.id
         if not failed:
             col = loads.index(min(loads))
-            matrix.body[slot - 1, col] = 1
+            matrix.rows[slot] |= 1 << col
             loads[col] += 1
     return state
 
@@ -224,15 +217,15 @@ def tick(state: SimState, rng: random.Random) -> SimState:
 
     # advance the queues unless the next job's machine is still busy; the
     # shift raises StateError if the head row still holds a 1
-    row = matrix.body[0]
-    machine = int(row.argmax())
-    queued = matrix.labels[1] is not None and row[machine] != 0
+    row = matrix.rows[1]
+    machine = (row & -row).bit_length() - 1  # the row's leftmost 1
+    queued = matrix.labels[1] is not None and row != 0
     if not (queued and state.remaining[machine] > 0):
         _shift_up_inplace(matrix)
         if queued:  # the job shifted into the head row goes into service
             job = matrix.labels[0]
             state.loads[machine] -= 1  # the job has left its machine's queue
-            matrix.head[:] = 0
+            matrix.rows[0] = 0
             matrix.labels[0] = None
             state.in_service[machine] = job
             state.remaining[machine] = state.service_time[job]

@@ -22,6 +22,13 @@ def random_matrix(rng: random.Random, m: int, k: int, density: float = 0.4,
                   labeled: bool = False) -> ScheduleMatrix:
     """Random binary matrix; with labeled=True every nonzero row gets a
     job label (plus occasional labeled all-zero rows)."""
+    return ScheduleMatrix(m, k, *random_parts(rng, m, k, density, labeled))
+
+
+def random_parts(rng: random.Random, m: int, k: int, density: float = 0.4,
+                 labeled: bool = False):
+    """The (head, body, labels) constructor arguments of random_matrix:
+    int8 arrays of shapes (k,) and (m, k), and m + 1 labels."""
     head = np.array([1 if rng.random() < density else 0 for _ in range(k)], dtype=np.int8)
     body = np.array(
         [[1 if rng.random() < density else 0 for _ in range(k)] for _ in range(m)],
@@ -37,7 +44,7 @@ def random_matrix(rng: random.Random, m: int, k: int, density: float = 0.4,
             if body[i].any() or rng.random() < 0.2:
                 labels[i + 1] = next_id
                 next_id += 1
-    return ScheduleMatrix(m, k, head, body, labels)
+    return head, body, labels
 
 
 @pytest.fixture

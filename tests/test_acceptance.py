@@ -116,7 +116,7 @@ def test_criterion_3_shift_equals_nilpotent_product():
         m = rng.randint(1, 8)
         k = rng.randint(1, 8)
         matrix = random_matrix(rng, m, k)
-        matrix.head[:] = 0
+        matrix.rows[0] = 0
         u = np.zeros((m, m), dtype=np.int8)
         for i in range(m - 1):
             u[i, i + 1] = 1

@@ -677,8 +677,24 @@ def _normalized(out):
              "--delta", "1", "--seed", "3"],
             "98578e527c1c067d39da61b8c833ce2b51fb3644ccc458bca3af7968049c3d8e",
         ),
+        (
+            # the CLI's machine cap: 1024-bit rows through every queue
+            # operator; 1004 send failures and 106 overload ticks
+            [(i, i % 120, 1 + i % 3) for i in range(2000)],
+            ["simulate", "--machines", "1024", "--queue-depth", "4096",
+             "--send-failure-prob", "0.5", "--rebalance-interval", "5", "--horizon", "120"],
+            "f41e9423a90035e0df53f5381ecef5e11cbd34bbe9388efad4b31836275a3835",
+        ),
+        (
+            # 70-bit rows, past one 64-bit machine word: decoding, the
+            # polish and the text snapshot
+            [(i, 0, 1 + i % 3) for i in range(90)],
+            ["optimize", "--machines", "70", "--queue-depth", "1", "--w", "0", "--delta", "0"],
+            "c57519d732c68cfe3a83d508013703d93e7ecd12ec54c3dcbace641694db2b85",
+        ),
     ],
-    ids=["optimize", "simulate", "oracle-check", "optimize-240-bits", "optimize-240-bits-seed-3"],
+    ids=["optimize", "simulate", "oracle-check", "optimize-240-bits", "optimize-240-bits-seed-3",
+         "simulate-1024-machines", "optimize-70-machines"],
 )
 def test_stdout_matches_golden_digest(tmp_path, capsys, jobs, argv, digest):
     # a changed digest means a changed output: the objective, an RNG draw

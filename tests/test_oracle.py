@@ -15,7 +15,7 @@ from gasched import (
     brute_force_best,
     schedule_fitness,
 )
-from gasched.errors import BudgetError, ConfigError
+from gasched.errors import BudgetError, ConfigError, DimensionError
 from gasched.oracle import PRODUCT_BUDGET, assignment_to_matrix
 from gasched.scheduler_ga import score
 
@@ -218,6 +218,13 @@ def test_optimum_invariant_under_job_relabeling():
     assert a.optimum == b.optimum
     permuted = tuple(reversed(a.witness))
     assert _assignment_fitness(permuted, 2, cfg) == a.optimum
+
+
+@pytest.mark.parametrize("machine", [0, -1, 4])
+def test_assignment_to_matrix_rejects_a_machine_outside_1_to_k(machine):
+    # 0 and -1 must not wrap round to machines k and k - 1 as negative indices
+    with pytest.raises(DimensionError, match="job 1: machine"):
+        assignment_to_matrix([3, machine, None], 3)
 
 
 def test_assignment_fitness_agrees_with_matrix_route():

@@ -5,22 +5,32 @@ import numpy as np
 import pytest
 
 from gasched import (
+    GaConfig,
     Genome,
+    Job,
     OverloadConfig,
     ScheduleMatrix,
+    SchedulerFitnessConfig,
+    SchedulingProblem,
+    SimConfig,
+    brute_force_best,
     column_loads,
     complete_heads,
     decode_schedule,
     from_text,
     inverse_select,
     mutate_dropped_rows,
+    optimize_schedule,
     rebalance_crossover,
     recall_job,
     repair_rows,
+    run_sim,
+    schedule_fitness,
     shift_up,
     to_text,
 )
-from gasched.errors import CapacityError, StateError
+from gasched import simulator
+from gasched.errors import CapacityError, DimensionError, StateError
 from gasched.schedule_matrix import (
     _mutate_dropped_rows_inplace,
     _rebalance_crossover_inplace,
@@ -28,7 +38,7 @@ from gasched.schedule_matrix import (
     _shift_up_inplace,
 )
 
-from conftest import random_matrix
+from conftest import random_matrix, random_parts
 
 
 def nilpotent_shift(m: int) -> np.ndarray:
@@ -64,6 +74,84 @@ def test_construction_rejects_entries_other_than_zero_and_one(value, where):
         ScheduleMatrix(2, 3, head, body, [None] * 3)
 
 
+@pytest.mark.parametrize("head, body", [
+    ([0, 0], [[0, 0, 0], [0, 0, 0]]),  # head too short
+    ([0, 0, 0], [[0, 0, 0]]),  # one body row missing
+    ([0, 0, 0], [[0, 0, 0], [0, 0]]),  # ragged body
+])
+def test_construction_rejects_rows_of_the_wrong_shape(head, body):
+    with pytest.raises(DimensionError):
+        ScheduleMatrix(2, 3, head, body, [None] * 3)
+
+
+def test_rows_are_k_bit_masks_indexed_like_labels():
+    m = matrix_from_body([[0, 1, 0], [1, 0, 1]], labels=[None, 4, 5], head=[0, 0, 1])
+    assert m.rows == [0b100, 0b010, 0b101]
+    assert m.labels == [None, 4, 5]
+
+
+# ------------------------------------------------------------- dense views
+
+def test_array_views_equal_the_constructor_input_and_are_read_only(rng):
+    for _ in range(200):
+        # k up to 70: rows wider than one 64-bit machine word
+        m, k = rng.randint(1, 6), rng.randint(1, 70)
+        head, body, labels = random_parts(rng, m, k, labeled=True)
+        matrix = ScheduleMatrix(m, k, head, body, labels)
+        assert matrix.head.dtype == matrix.body.dtype == np.int8
+        assert matrix.head.shape == (k,) and matrix.body.shape == (m, k)
+        assert (matrix.head == head).all() and (matrix.body == body).all()
+        with pytest.raises(ValueError):
+            matrix.head[0] = 1 - matrix.head[0]
+        with pytest.raises(ValueError):
+            matrix.body[-1, -1] = 1 - matrix.body[-1, -1]
+        assert (matrix.head == head).all() and (matrix.body == body).all()
+
+
+def _stream(rng, horizon):
+    """About one arrival a tick, service times 1-2."""
+    jobs = []
+    for t in range(horizon):
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            jobs.append(Job(len(jobs), rng.randint(1, 2), t))
+    return jobs
+
+
+def test_operator_paths_never_build_an_array_view(monkeypatch, rng):
+    def refuse(matrix):
+        raise AssertionError("an operator built a dense view")
+
+    monkeypatch.setattr(ScheduleMatrix, "head", property(refuse))
+    monkeypatch.setattr(ScheduleMatrix, "body", property(refuse))
+    moved = []
+    rebalance = simulator._rebalance_crossover_inplace
+
+    def counting(matrix, loads, cfg):
+        before = list(loads)
+        reached = rebalance(matrix, loads, cfg)
+        moved.append(loads != before)
+        return reached
+
+    monkeypatch.setattr(simulator, "_rebalance_crossover_inplace", counting)
+    overload = OverloadConfig(w=2, delta=1)
+    for k, m in ((3, 6), (16, 256)):
+        cfg = SimConfig(k=k, m=m, send_failure_prob=0.5, horizon=300, overload=overload)
+        metrics = run_sim(cfg, _stream(rng, 300))
+        assert metrics.send_failures > 0 and metrics.overload_ticks > 0
+    # the periodic rebalance moved queued jobs (at (3, 6) dispatch keeps the
+    # columns level, so the moves come from the deep shape)
+    assert any(moved)
+    fitness_cfg = SchedulerFitnessConfig(overload=OverloadConfig(w=2, delta=0))
+    problem = SchedulingProblem(
+        jobs=[Job(i, 1, 0) for i in range(12)], k=3, m=3, fitness_cfg=fitness_cfg,
+        ga_cfg=GaConfig(population_size=8, max_generations=5),
+    )
+    result = optimize_schedule(problem)
+    assert schedule_fitness(result.matrix, fitness_cfg) == result.fitness
+    assert brute_force_best(12, 3, 3, fitness_cfg).optimum <= result.fitness
+    assert from_text(to_text(result.matrix)) == result.matrix
+
+
 # ------------------------------------------- pure wrappers over in-place cores
 # Each case readies a random matrix for one operator and returns the pure
 # wrapper, its in-place core, a maker of fresh extra arguments (a new
@@ -71,13 +159,13 @@ def test_construction_rejects_entries_other_than_zero_and_one(value, where):
 # and whether the core takes the caller's column loads after the matrix.
 
 def _shift_case(rng, matrix):
-    matrix.head[:] = 0
+    matrix.rows[0] = 0
     matrix.labels[0] = None
     return shift_up, _shift_up_inplace, lambda: (), False
 
 
 def _recall_case(rng, matrix):
-    matrix.body[-1] = 0
+    matrix.rows[-1] = 0
     matrix.labels[-1] = None
     return recall_job, _recall_job_inplace, lambda: (999,), True
 
@@ -137,7 +225,7 @@ def test_shift_on_zero_matrix_is_zero():
 
 def test_shift_requires_cleared_head():
     m = ScheduleMatrix.empty(2, 2)
-    m.head[1] = 1
+    m.rows[0] = 0b10
     with pytest.raises(StateError):
         shift_up(m)
     labeled = ScheduleMatrix.empty(2, 2)
@@ -151,7 +239,7 @@ def test_shift_equals_dense_superdiagonal_product(rng):
         m_rows = rng.randint(1, 8)
         k = rng.randint(1, 8)
         matrix = random_matrix(rng, m_rows, k)
-        matrix.head[:] = 0
+        matrix.rows[0] = 0
         out = shift_up(matrix)
         expected_body = nilpotent_shift(m_rows) @ matrix.body
         assert (out.body == expected_body).all()
@@ -163,7 +251,7 @@ def test_repeated_shift_zeroes_any_body(rng):
         m_rows = rng.randint(1, 6)
         k = rng.randint(1, 5)
         matrix = random_matrix(rng, m_rows, k)
-        matrix.head[:] = 0
+        matrix.rows[0] = 0
         for _ in range(m_rows):
             matrix, _, _ = complete_heads(matrix)
             matrix = shift_up(matrix)
@@ -224,7 +312,7 @@ def test_recall_places_exactly_one_bit(rng):
         m_rows = rng.randint(1, 6)
         k = rng.randint(1, 5)
         matrix = random_matrix(rng, m_rows, k, labeled=True)
-        matrix.body[m_rows - 1, :] = 0
+        matrix.rows[m_rows] = 0
         matrix.labels[m_rows] = None
         out = recall_job(matrix, 999)
         assert int(out.body[m_rows - 1].sum()) == 1

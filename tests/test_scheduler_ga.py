@@ -78,7 +78,7 @@ def test_score_is_never_negative_under_accepted_weights(drop_weight, overload_we
 
 def test_fitness_zero_on_clean_matrix():
     m = ScheduleMatrix.empty(3, 2)
-    m.body[0, 0] = 1
+    m.rows[1] = 0b01
     m.labels[1] = 1
     assert schedule_fitness(m, fit_cfg(w=2)) == 0.0
 
@@ -87,16 +87,16 @@ def test_fitness_arithmetic_with_default_weights():
     # one dropped row plus two overloaded columns
     m = ScheduleMatrix.empty(5, 2)
     for i in range(3):
-        m.body[i, 0] = 1
+        m.rows[i + 1] = 0b01
         m.labels[i + 1] = i
-    m.body[3, 1] = 1
-    m.body[4, 1] = 1
+    m.rows[4] = 0b10
+    m.rows[5] = 0b10
     m.labels[4] = 10
     m.labels[5] = 11
     dropped = ScheduleMatrix.empty(5, 2)
-    dropped.body[:] = m.body
+    dropped.rows[1:] = m.rows[1:]
     dropped.labels = list(m.labels)
-    dropped.body[0, :] = 0  # job 0 keeps its label but loses its slot
+    dropped.rows[1] = 0  # job 0 keeps its label but loses its slot
     assert count_stats(dropped, 1) == (1, 2, 0)
     assert schedule_fitness(dropped, fit_cfg(w=1)) == 102.0
 
@@ -137,7 +137,7 @@ def test_feasible_on_empty_matrix():
 
 def test_row_violation_is_infeasible():
     m = ScheduleMatrix.empty(1, 2)
-    m.body[0] = [1, 1]
+    m.rows[1] = 0b11
     m.labels[1] = 1
     assert not feasible(m, fit_cfg(w=1, delta=2))
 
@@ -165,7 +165,7 @@ def two_step_decode(genome, job_ids, k, m):
     )
     for j in range(k):
         for r in np.flatnonzero(matrix.body[:, j])[m:]:
-            matrix.body[r, j] = 0
+            matrix.rows[r + 1] &= ~(1 << j)
     return matrix
 
 
@@ -374,20 +374,18 @@ def capacity_requeue(matrix, m):
         loads = column_loads(out)
         candidates = [j for j in range(out.k) if loads[j] < m]
         if candidates:
-            out.body[i, min(candidates, key=lambda j: (loads[j], j))] = 1
+            out.rows[i + 1] |= 1 << min(candidates, key=lambda j: (loads[j], j))
     return out
 
 
 def test_polish_requeue_respects_queue_depth():
     body = [[1, 0], [1, 0], [0, 0], [0, 0]]
-    matrix = ScheduleMatrix.empty(4, 2)
-    matrix.body[:] = body
-    matrix.labels = [None, 1, 2, 3, 4]
+    matrix = ScheduleMatrix(4, 2, [0, 0], body, [None, 1, 2, 3, 4])
     out, value = _polish(matrix, 2, fit_cfg(w=2))
     assert column_loads(out) == [2, 2]
     assert out.dropped_rows() == [] and value == 0.0  # room existed in column 2
     full = ScheduleMatrix.empty(3, 1)
-    full.body[:2] = 1
+    full.rows[1:3] = [1, 1]
     full.labels = [None, 1, 2, 3]
     out, value = _polish(full, 2, fit_cfg(w=2))
     assert out.dropped_rows() == [2] and value == 100.0  # no room anywhere

@@ -63,7 +63,7 @@ def _reference_dispatch(state, arrivals, rng):
         if not failed:
             loads = column_loads(matrix)
             col = loads.index(min(loads))
-            matrix.body[row, col] = 1
+            matrix.rows[row + 1] |= 1 << col
 
 
 def _reference_recalls(state, to_recall):
@@ -96,7 +96,7 @@ def _reference_tick(state, rng):
         job = state.in_service[j]
         state.in_service[j] = None
         state.matrix.labels[0] = job
-        state.matrix.head[j] = 1
+        state.matrix.rows[0] |= 1 << j
         state.matrix, done, _ = complete_heads(state.matrix)
         state.completed += len(done)
     if state.matrix.labels[0] is None and not state.matrix.head.any():
@@ -109,7 +109,7 @@ def _reference_tick(state, rng):
             job = state.matrix.labels[0]
             if job is not None and state.matrix.head.any():
                 machine = int(state.matrix.head.argmax())
-                state.matrix.head[:] = 0
+                state.matrix.rows[0] = 0
                 state.matrix.labels[0] = None
                 state.in_service[machine] = job
                 state.remaining[machine] = state.service_time[job]
@@ -226,7 +226,7 @@ def test_tick_raises_on_a_one_in_an_unlabeled_head_row():
     # every shift, so the queue would freeze without a word
     state = SimState(sim_cfg())
     dispatch(state, [Job(0, 1, 0)], random.Random(0))
-    state.matrix.head[0] = 1
+    state.matrix.rows[0] = 1
     with pytest.raises(StateError, match="head row"):
         tick(state, random.Random(0))
 
@@ -345,9 +345,10 @@ def stream_jobs(seed, horizon):
     return jobs
 
 
-@pytest.mark.parametrize("k,m", [(3, 6), (16, 256)])
+@pytest.mark.parametrize("k,m", [(3, 6), (16, 256), (70, 8)])
 def test_run_sim_matches_reference_loop_at_benchmark_shapes(k, m):
-    # the sim-stream configurations: default interval, recalls and overload
+    # the sim-stream configurations: default interval, recalls and overload;
+    # (70, 8) runs intake, service and recalls on rows wider than 64 bits
     for seed in (1, 2, 3):
         cfg = SimConfig(k=k, m=m, send_failure_prob=0.2, horizon=1000, seed=seed)
         jobs = stream_jobs(seed, 1000)
@@ -439,7 +440,7 @@ def test_load_drift_raises_at_next_interval_tick(corrupt):
     else:  # an edit behind the run state's back
         row = state.matrix.labels.index(None, 1) - 1
         state.matrix.labels[row + 1] = 99
-        state.matrix.body[row, 0] = 1
+        state.matrix.rows[row + 1] |= 1
         state.arrived += 1
         state.service_time[99] = 3
     for _ in range(3):
