@@ -56,15 +56,17 @@ class RunConfig:
     elite_count: int = _key(GaConfig.elite_count)
     stagnation_window: int = _key(GaConfig.stagnation_window)
     stagnation_tol: float = _key(GaConfig.stagnation_tol)
-    # the caps keep a simulated (queue_depth x machines) matrix at 4 MB and a
-    # genome row at 1024 bits, and reject a huge value before anything is built
+    # the caps keep a simulated (queue_depth x machines) matrix at 4 MB, a genome
+    # row at 1024 bits and a trace near 140 MB, rejecting a huge value up front;
+    # SimConfig owns horizon's lower bound, so horizon 0 reads "must be >= 1"
     machines: int = _key(3, in_range(1, 1024), flag=True)
     queue_depth: int = _key(3, in_range(1, 4096), flag=True)
     w: int = _key(2, flag=True)
     delta: int = _key(1, flag=True)
     send_failure_prob: float = _key(SimConfig.send_failure_prob, flag=True)
     rebalance_interval: int = _key(SimConfig.rebalance_interval, flag=True)
-    horizon: int = _key(SimConfig.horizon, flag=True)
+    horizon: int = _key(SimConfig.horizon, (lambda v: v <= 10**6, "must lie in [1, 1000000]"),
+                        flag=True)
     max_recalls: int = _key(SimConfig.max_recalls)
     drop_weight: float = _key(SchedulerFitnessConfig.drop_weight)
     overload_weight: float = _key(SchedulerFitnessConfig.overload_weight)

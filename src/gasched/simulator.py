@@ -19,7 +19,9 @@ too, kept in step with the matrix and audited against it every
 
 A job is always in exactly one place - queued (labeled matrix row), in
 service, completed, or dropped - and the simulation checks that
-conservation law after every tick.
+conservation law after every tick by one scan of the row labels. So a tick
+costs O(k) bookkeeping plus that O(m) scan; an interval tick adds the O(m)
+``column_loads`` audit and the periodic pass.
 """
 
 from __future__ import annotations
@@ -121,8 +123,9 @@ class SimState:
         self.trace: list[tuple[int, int, int, float]] = []
 
     def queued(self) -> int:
+        # not labels.count(None), which rich-compares None with each int label
         labels = self.matrix.labels
-        return len(labels) - labels.count(None)
+        return len(labels) - len([lab for lab in labels if lab is None])
 
     def serving(self) -> int:
         return len(self.in_service) - self.in_service.count(None)
@@ -199,36 +202,38 @@ def tick(state: SimState, rng: random.Random) -> SimState:
     """
     cfg = state.cfg
     matrix = state.matrix
+    rows, labels = matrix.rows, matrix.labels
+    remaining, in_service = state.remaining, state.in_service
 
-    for j in range(cfg.k):
-        if state.remaining[j] > 0:
-            state.remaining[j] -= 1
-            if state.remaining[j] == 0:
-                state.in_service[j] = None
+    for j, left in enumerate(remaining):
+        if left > 0:
+            remaining[j] = left - 1
+            if left == 1:
+                in_service[j] = None
                 state.completed += 1
 
     # A head row is all zero when a tick starts: the shift below clears the
     # row of a job it moves into service, and a failed send's row has no 1.
     # So a labeled head is a failed job shifted in last tick, recalled now.
-    job = matrix.labels[0]
+    job = labels[0]
     if job is not None:
-        matrix.labels[0] = None
+        labels[0] = None
         _recall(state, job)
 
     # advance the queues unless the next job's machine is still busy; the
     # shift raises StateError if the head row still holds a 1
-    row = matrix.rows[1]
+    row = rows[1]
     machine = (row & -row).bit_length() - 1  # the row's leftmost 1
-    queued = matrix.labels[1] is not None and row != 0
-    if not (queued and state.remaining[machine] > 0):
+    queued = labels[1] is not None and row != 0
+    if not (queued and remaining[machine] > 0):
         _shift_up_inplace(matrix)
         if queued:  # the job shifted into the head row goes into service
-            job = matrix.labels[0]
+            job = labels[0]
             state.loads[machine] -= 1  # the job has left its machine's queue
-            matrix.rows[0] = 0
-            matrix.labels[0] = None
-            state.in_service[machine] = job
-            state.remaining[machine] = state.service_time[job]
+            rows[0] = 0
+            labels[0] = None
+            in_service[machine] = job
+            remaining[machine] = state.service_time[job]
 
     state.tick_count += 1
     if state.tick_count % cfg.rebalance_interval == 0:
@@ -245,8 +250,13 @@ def tick(state: SimState, rng: random.Random) -> SimState:
     loads = state.loads
     mean_load = sum(loads) / cfg.k
     state.load_sum += mean_load
-    state.max_load = max(state.max_load, max(loads))
-    state.overload_ticks += sum(1 for load in loads if load > cfg.overload.w)
+    # no machine is above w unless the fullest one is, so count only then
+    peak = max(loads)
+    if peak > state.max_load:
+        state.max_load = peak
+    w = cfg.overload.w
+    if peak > w:
+        state.overload_ticks += sum(1 for load in loads if load > w)
     state.trace.append((state.tick_count, state.completed, state.dropped, mean_load))
     state.check_conservation()
     return state
@@ -325,7 +335,5 @@ def save_workload(jobs: list[Job], path: str) -> None:
 
 def trace_csv(metrics: SimMetrics) -> str:
     """Per-tick trace as CSV text."""
-    lines = ["tick,completed,dropped,mean_load"]
-    for tick_no, completed, dropped, mean_load in metrics.trace:
-        lines.append(f"{tick_no},{completed},{dropped},{mean_load:.6f}")
-    return "\n".join(lines) + "\n"
+    rows = "".join(["%d,%d,%d,%.6f\n" % entry for entry in metrics.trace])
+    return "tick,completed,dropped,mean_load\n" + rows

@@ -21,6 +21,7 @@ from gasched import (
     brute_force_best,
     optimize_schedule,
 )
+from gasched import simulator
 from gasched.cli import SUBCOMMANDS, RunConfig, _make_problem, main, parse_config
 from gasched.errors import ConfigError
 
@@ -310,6 +311,28 @@ def test_default_keys_build_the_library_defaults():
     assert cfg.ga_config(cfg.seed) == GaConfig(population_size=40, max_generations=200)
     assert cfg.fitness_config() == SchedulerFitnessConfig(overload=overload)
     assert cfg.sim_config() == SimConfig(k=3, m=3, overload=overload)
+
+
+@pytest.mark.parametrize("horizon", [10**6 + 1, 10**20], ids=["cap-plus-one", "1e20"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_horizon_above_cap_exits_two_before_any_tick(tmp_path, capsys, monkeypatch, source,
+                                                     horizon):
+    # an uncapped horizon would run until the trace fills memory
+    def no_tick(state, rng):
+        raise AssertionError("a tick ran")
+
+    monkeypatch.setattr(simulator, "tick", no_tick)
+    if source == "flag":
+        argv = ["simulate", "--horizon", str(horizon)]
+    else:
+        argv = ["simulate", "--config", write_config(tmp_path, {"horizon": horizon})]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: horizon: must lie in [1, 1000000]\n"
+
+
+def test_horizon_cap_is_inclusive(capsys):
+    assert main(["print-config", "--horizon", str(10**6)]) == 0
+    assert json.loads(capsys.readouterr().out)["horizon"] == 10**6
 
 
 def test_largest_machines_and_queue_depth_simulate(capsys):
@@ -692,9 +715,19 @@ def _normalized(out):
             ["optimize", "--machines", "70", "--queue-depth", "1", "--w", "0", "--delta", "0"],
             "c57519d732c68cfe3a83d508013703d93e7ecd12ec54c3dcbace641694db2b85",
         ),
+        (
+            # the deep pipeline shape: 1000 CSV rows, and w = 2 puts the fullest
+            # machine above w (724 completed, 19 dropped, 206 send failures,
+            # max_load 18, 15376 overload ticks)
+            [(i, i, 1 + i % 2) for i in range(1000)],
+            ["simulate", "--machines", "16", "--queue-depth", "256", "--w", "2",
+             "--delta", "1", "--send-failure-prob", "0.2", "--horizon", "1000", "--seed", "3",
+             "--format", "both"],
+            "8cbc06d732afb4aa4d5412811d642d6eeda8ee13f41c7b9f9a5c29c5f01d8468",
+        ),
     ],
     ids=["optimize", "simulate", "oracle-check", "optimize-240-bits", "optimize-240-bits-seed-3",
-         "simulate-1024-machines", "optimize-70-machines"],
+         "simulate-1024-machines", "optimize-70-machines", "simulate-16x256"],
 )
 def test_stdout_matches_golden_digest(tmp_path, capsys, jobs, argv, digest):
     # a changed digest means a changed output: the objective, an RNG draw

@@ -475,6 +475,32 @@ def test_conservation_audit_raises_on_lost_job():
         tick(state, random.Random(0))
 
 
+@pytest.mark.parametrize("corrupt", ["lost-label", "invented-label"])
+def test_conservation_audit_raises_on_next_tick_at_depth(corrupt):
+    # the audit scans every label on every tick, not a count kept in step
+    # with dispatch and tick, so an edit behind the run's back shows at once
+    cfg = sim_cfg(k=16, m=256, send_failure_prob=0.2, horizon=400, seed=3)
+    jobs = [Job(i, 1 + i % 2, i // 2) for i in range(800)]  # two arrivals a tick
+    by_tick = {}
+    for job in jobs:
+        by_tick.setdefault(job.arrival, []).append(job)
+    state = SimState(cfg)
+    dispatch_rng, tick_rng = stream(cfg.seed, "dispatch"), stream(cfg.seed, "tick")
+    for t in range(300):
+        dispatch(state, by_tick.get(t, []), dispatch_rng)
+        tick(state, tick_rng)
+    assert (state.tick_count + 1) % cfg.rebalance_interval != 0  # tick 301 runs no interval pass
+    labels = state.matrix.labels
+    if corrupt == "lost-label":
+        row = max(i for i, label in enumerate(labels) if label is not None)
+        assert row > 128
+        labels[row] = None
+    else:  # a job id that never arrived
+        labels[max(i for i, label in enumerate(labels) if label is None)] = 10**6
+    with pytest.raises(StateError, match="^job conservation violated at tick 301:"):
+        tick(state, tick_rng)
+
+
 def test_run_sim_rejects_late_arrivals():
     with pytest.raises(ConfigError):
         run_sim(sim_cfg(horizon=5), [Job(0, 1, 7)])
@@ -525,6 +551,29 @@ def test_job_range_error_is_a_workload_config_error(tmp_path):
     path.write_text("0 0 1\n-1 0 1\n")
     with pytest.raises(ConfigError, match="^workload: line 2: job id must be non-negative$"):
         load_workload(str(path))
+
+
+def _reference_trace_csv(metrics):
+    """trace_csv as first written, one f-string a row."""
+    lines = ["tick,completed,dropped,mean_load"]
+    for tick_no, completed, dropped, mean_load in metrics.trace:
+        lines.append(f"{tick_no},{completed},{dropped},{mean_load:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_csv_matches_f_string_reference():
+    cfg = sim_cfg(k=16, m=256, send_failure_prob=0.2, horizon=1000, seed=3,
+                  overload=OverloadConfig(w=2, delta=1))
+    metrics = run_sim(cfg, [Job(i, 1 + i % 2, i) for i in range(1000)])
+    assert len(metrics.trace) == 1000
+    assert trace_csv(metrics) == _reference_trace_csv(metrics)
+    # mean loads that round at the 6th decimal, and large tick numbers
+    entries = [(1, 0, 0, 0.0000005), (2, 0, 0, 2.5e-7), (3, 1, 2, 1 / 3),
+               (4, 724, 19, 13.8553755), (5, 0, 0, 0.0000015), (6, 0, 0, -0.0),
+               (10**6, 10**6, 0, 255.9999995), (2**64, 10**30, 2**63, 1e-320)]
+    for trace in (entries, []):
+        metrics = SimMetrics(trace=trace)
+        assert trace_csv(metrics) == _reference_trace_csv(metrics)
 
 
 def test_trace_csv_shape():
