@@ -50,7 +50,7 @@ class RunConfig:
     subcommand: str
     seed: int = _key(GaConfig.rng_seed, flag=True)
     generations: int = _key(200, flag=True)
-    population: int = _key(40, flag=True)
+    population: int = _key(40, (lambda v: v <= 10**5, "must lie in [2, 100000]"), flag=True)
     mutation_rate: float = _key(GaConfig.mutation_rate, flag=True)
     crossover_rate: float = _key(GaConfig.crossover_rate, flag=True)
     elite_count: int = _key(GaConfig.elite_count)

@@ -18,9 +18,10 @@ A :class:`Genome` is stored as one Python ``int`` bit mask plus its
 length: bit ``i`` of the mask is position ``i`` of the genome (for a
 flattened job x machine body, position ``r*k + j``). Bits are validated
 once, at the boundary, when a caller builds ``Genome(bits)``; the
-operators here (:func:`random_genome`, :func:`crossover`, :func:`mutate`)
-produce genomes from masks through the trusted ``Genome._from_mask`` and
-work with integer operations instead of per-bit tuples.
+operators here work on masks and build genomes through the trusted
+``Genome._from_mask``. :func:`crossover` and :func:`mutate` wrap mask
+cores that :func:`step_generation` calls directly: it builds one genome
+per child and scores it as it is bred, and elites keep their score.
 
 Bounded index draws (tournament entrants, random placements) use
 ``getrandbits`` with rejection, which is ``randrange``'s own rule, so
@@ -80,8 +81,8 @@ class Genome:
         """Trusted constructor for operators that already hold a valid
         ``0 <= mask < 2**length`` with ``length >= 1``; checks nothing."""
         genome = object.__new__(cls)
-        object.__setattr__(genome, "mask", mask)
-        object.__setattr__(genome, "length", length)
+        genome.__dict__["mask"] = mask  # bypasses the frozen __setattr__
+        genome.__dict__["length"] = length
         return genome
 
     @property
@@ -241,20 +242,47 @@ def select_parents(population: Population, config: GaConfig, rng: random.Random)
     return ParentSelection(elites, list(zip(winners[::2], winners[1::2])))
 
 
+def _crossover_mask(a: int, b: int, length: int, rng: random.Random) -> int:
+    """:func:`crossover` of two ``length``-bit masks; ``a`` without a draw if equal."""
+    if a == b:
+        return a
+    pick = rng.getrandbits(length)
+    return (a & pick) | (b & ~pick)
+
+
 def crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
     """Agreement-preserving uniform crossover.
 
     Wherever the parents agree the child inherits that bit; at every
     disagreement it takes either parent's bit with probability 1/2: one
     ``getrandbits(length)`` draw picks ``a``'s bit where it has a 1 and
-    ``b``'s where it has a 0.
+    ``b``'s where it has a 0. Equal parents return ``a`` without a draw.
     """
     if a.length != b.length:
         raise DimensionError("parents must have equal length")
     if a.mask == b.mask:
         return a
-    pick = rng.getrandbits(a.length)
-    return Genome._from_mask((a.mask & pick) | (b.mask & ~pick), a.length)
+    return Genome._from_mask(_crossover_mask(a.mask, b.mask, a.length, rng), a.length)
+
+
+def _flip_mask(length: int, log_keep: float, rng: random.Random) -> int:
+    """The positions :func:`mutate` flips, as a mask, for
+    ``log_keep = log1p(-rate/2)``; 0 without a draw when that is 0.0."""
+    if log_keep == 0.0:  # rate 0, or rate/2 underflows: no position can flip
+        return 0
+    log = math.log
+    draw = rng.random
+    flips = 0
+    i = -1  # the last flipped position
+    try:
+        while True:
+            # int() floors a gap >= 0 (or -0.0): ends exactly when gap >= length - 1 - i
+            i += int(log(1.0 - draw()) / log_keep) + 1
+            if i >= length:
+                return flips
+            flips |= 1 << i
+    except OverflowError:  # an inf gap (a subnormal rate) ends the walk too
+        return flips
 
 
 def mutate(genome: Genome, rate: float, rng: random.Random) -> Genome:
@@ -270,23 +298,8 @@ def mutate(genome: Genome, rate: float, rng: random.Random) -> Genome:
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mutation rate must lie in [0, 1]")
-    log_keep = math.log1p(-rate / 2)
-    if log_keep == 0.0:  # rate 0, or rate/2 underflows: no position can flip
-        return genome
-    length = genome.length
-    log = math.log
-    draw = rng.random
-    flips = 0
-    i = -1  # the last flipped position
-    while True:
-        # a gap too large for an int (a subnormal rate) is inf here, and
-        # it is compared as a float, so it ends the walk
-        gap = log(1.0 - draw()) / log_keep
-        if gap >= length - 1 - i:
-            break
-        i += 1 + int(gap)
-        flips |= 1 << i
-    return Genome._from_mask(genome.mask ^ flips, length) if flips else genome
+    flips = _flip_mask(genome.length, math.log1p(-rate / 2), rng)
+    return Genome._from_mask(genome.mask ^ flips, genome.length) if flips else genome
 
 
 def step_generation(
@@ -299,24 +312,27 @@ def step_generation(
 
     Each non-elite slot takes a crossover child (with probability
     ``crossover_rate``, otherwise a clone of the better parent), then
-    mutation, then evaluation.
+    mutation, and is scored as it is bred. Elites keep their fitness,
+    which a pure ``fitness`` would only repeat.
     """
     if population.size != config.population_size:
         raise ValueError("population size does not match config.population_size")
     selection = select_parents(population, config, rng)
+    if not 0.0 <= config.mutation_rate <= 1.0:  # the config may be edited after it is built
+        raise ValueError("mutation rate must lie in [0, 1]")
+    log_keep = math.log1p(-config.mutation_rate / 2)
+    length = population.members[0].genome.length
     draw = rng.random
     crossover_rate = config.crossover_rate
-    mutation_rate = config.mutation_rate
-    children = []
+    members = selection.elites
     for a, b in selection.pairs:
         if draw() < crossover_rate:
-            child = crossover(a.genome, b.genome, rng)
+            mask = _crossover_mask(a.genome.mask, b.genome.mask, length, rng)
         else:
-            child = a.genome if a.fitness <= b.fitness else b.genome
-        child = mutate(child, mutation_rate, rng)
-        children.append(Individual(child))
-    nxt = Population._from_members(selection.elites + children)
-    return evaluate(nxt, fitness)
+            mask = (a if a.fitness <= b.fitness else b).genome.mask
+        mask ^= _flip_mask(length, log_keep, rng)
+        members.append(_scored(Genome._from_mask(mask, length), fitness))
+    return Population._from_members(members)
 
 
 def has_converged(best_history: list[float], config: GaConfig) -> bool:

@@ -14,7 +14,8 @@ Row i is stored as ``rows[i]``, a k-bit ``int`` mask with bit j set for
 a 1 at machine j + 1 (the layout of a genome's job row), beside its label
 ``labels[i]``. Machine indices are 1-based on the public surface. The
 ``head`` and ``body`` properties build read-only int8 numpy arrays of the
-rows on each access; no operator reads them.
+rows on each access; no operator reads them, and numpy is imported only
+there, so importing the package (and the CLI) does not load it.
 
 The public operators are pure: they return a new matrix and leave their
 input untouched, so values may be shared freely across threads. Each
@@ -39,8 +40,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice
-
-import numpy as np
 
 from .errors import (
     CapacityError, ConfigError, DimensionError, StateError, at_least, check_fields, checked,
@@ -127,6 +126,8 @@ class ScheduleMatrix:
 
 def _dense(rows: list[int], k: int) -> np.ndarray:
     """The masks as a read-only int8 array of shape ``(len(rows), k)``."""
+    import numpy as np
+
     width = (k + 7) // 8
     data = b"".join(row.to_bytes(width, "little") for row in rows)
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")

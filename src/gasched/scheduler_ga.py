@@ -187,10 +187,12 @@ def random_placement_genome(job_count: int, k: int, m: int, rng) -> Genome:
         raise DimensionError("genome must have length >= 1")
     counts = [0] * k
     mask = 0
-    for r, col in enumerate(ga_core._indices_below(rng, k, job_count)):
+    shift = 0  # r * k for job row r
+    for col in ga_core._indices_below(rng, k, job_count):
         if counts[col] < m:
             counts[col] += 1
-            mask |= 1 << (r * k + col)
+            mask |= 1 << (shift + col)
+        shift += k
     return Genome._from_mask(mask, length)
 
 

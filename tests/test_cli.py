@@ -21,7 +21,7 @@ from gasched import (
     brute_force_best,
     optimize_schedule,
 )
-from gasched import simulator
+from gasched import ga_core, simulator
 from gasched.cli import SUBCOMMANDS, RunConfig, _make_problem, main, parse_config
 from gasched.errors import ConfigError
 
@@ -333,6 +333,30 @@ def test_horizon_above_cap_exits_two_before_any_tick(tmp_path, capsys, monkeypat
 def test_horizon_cap_is_inclusive(capsys):
     assert main(["print-config", "--horizon", str(10**6)]) == 0
     assert json.loads(capsys.readouterr().out)["horizon"] == 10**6
+
+
+@pytest.mark.parametrize("population", [10**5 + 1, 10**20], ids=["cap-plus-one", "1e20"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("subcommand", ["print-config", "optimize"])
+def test_population_above_cap_exits_two_before_any_member(tmp_path, capsys, monkeypatch,
+                                                          subcommand, source, population):
+    # an uncapped population would build that many members
+    def no_run(*args, **kwargs):
+        raise AssertionError("a GA run started")
+
+    monkeypatch.setattr(ga_core, "run", no_run)
+    argv = [subcommand, "--workload", write_workload(tmp_path, [(0, 0, 1)])]
+    if source == "flag":
+        argv += ["--population", str(population)]
+    else:
+        argv += ["--config", write_config(tmp_path, {"population": population})]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: population: must lie in [2, 100000]\n"
+
+
+def test_population_cap_is_inclusive(capsys):
+    assert main(["print-config", "--population", str(10**5)]) == 0
+    assert json.loads(capsys.readouterr().out)["population"] == 10**5
 
 
 def test_largest_machines_and_queue_depth_simulate(capsys):

@@ -4,14 +4,19 @@
 it was written over ``rng.randrange`` and per-member tuple keys. They are
 kept here as an independent statement of which parents and elites are
 chosen and in which order the RNG is drawn; the loop must give the same
-members and leave the RNG in the same state.
+members and leave the RNG in the same state. ``_ref_step_generation`` is
+the breeding loop as it was written over the public operators, scoring
+the whole next generation (elites too) with ``evaluate`` at the end.
 """
 
 import random
 
 import pytest
 
-from gasched import GaConfig, Genome, Individual, Population, select_parents
+from gasched import (
+    GaConfig, Genome, Individual, Population, crossover, evaluate, mutate, select_parents,
+    step_generation,
+)
 from gasched.ga_core import _best, _indices_below
 
 # powers of two and their neighbours change the rejection rate; 2**31 + 5
@@ -51,6 +56,19 @@ def _ref_select_parents(members, elite_count, rng):
 
 def _ref_best(members):
     return members[min(range(len(members)), key=lambda i: (members[i].fitness, i))]
+
+
+def _ref_step_generation(population, fitness, config, rng):
+    selection = select_parents(population, config, rng)
+    children = []
+    for a, b in selection.pairs:
+        if rng.random() < config.crossover_rate:
+            child = crossover(a.genome, b.genome, rng)
+        else:
+            child = a.genome if a.fitness <= b.fitness else b.genome
+        child = mutate(child, config.mutation_rate, rng)
+        children.append(Individual(child))
+    return evaluate(Population(selection.elites + children), fitness)
 
 
 def _population(n, rng):
@@ -104,3 +122,32 @@ def test_best_is_first_of_the_tied_best(n):
     for _ in SEEDS:
         members = _population(n, fitness_rng).members
         assert _best(Population(members)) is _ref_best(members)
+
+
+def _tied_fitness(genome):
+    # few distinct values, so that tournaments and elite ranks tie often
+    return float(genome.mask.bit_count() % 4)
+
+
+@pytest.mark.parametrize("length", (1, 21, 800))
+@pytest.mark.parametrize("mutation_rate", (0.0, 0.05, 1.0, 1e-310))
+@pytest.mark.parametrize("crossover_rate", (0.0, 0.9, 1.0))
+@pytest.mark.parametrize("n, elite_count", [(2, 0), (3, 0), (3, 2), (40, 0), (40, 2)])
+def test_step_generation_matches_operator_reference(n, elite_count, crossover_rate,
+                                                    mutation_rate, length):
+    cfg = GaConfig(population_size=n, max_generations=10, crossover_rate=crossover_rate,
+                   mutation_rate=mutation_rate, elite_count=elite_count)
+    pool_rng = random.Random(length)
+    for seed in range(30):
+        # a pool smaller than the population, so that equal parents meet
+        pool = [Genome._from_mask(pool_rng.getrandbits(length), length)
+                for _ in range(n // 2 + 1)]
+        population = evaluate(Population([Individual(pool_rng.choice(pool)) for _ in range(n)]),
+                              _tied_fitness)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = step_generation(population, _tied_fitness, cfg, rng)
+        expected = _ref_step_generation(population, _tied_fitness, cfg, ref_rng)
+        assert [(ind.genome, ind.fitness) for ind in got.members] == [
+            (ind.genome, ind.fitness) for ind in expected.members
+        ]
+        assert rng.getstate() == ref_rng.getstate()

@@ -162,6 +162,23 @@ def test_mutate_matches_tuple_reference(length, rate):
         assert (out is genome) == (expected == bits)
 
 
+# 5e-324 halves to 0.0 (no draw); at 1e-320 and 1e-310 a gap is usually inf,
+# which int() cannot take; at 1e-300 and 1e-10 it is a huge but finite int
+@pytest.mark.parametrize("rate", (5e-324, 1e-320, 1e-310, 1e-300, 1e-10, 1.0))
+@pytest.mark.parametrize("length", (1, 2, 64, 800, 3000))
+def test_mutate_matches_tuple_reference_at_edge_rates(length, rate):
+    genomes_rng = random.Random(length)
+    for seed in SEEDS:
+        bits = _random_bits(length, 0.5, genomes_rng)
+        genome = Genome(bits)
+        rng, ref_rng = _twin_rngs(seed)
+        out = mutate(genome, rate, rng)
+        expected = _ref_mutate(bits, rate, ref_rng)
+        assert out.bits == expected
+        assert rng.getstate() == ref_rng.getstate()
+        assert (out is genome) == (expected == bits)
+
+
 @pytest.mark.parametrize("rate", (0.05, 0.6, 1.0))
 @pytest.mark.parametrize("length", (29, 800))
 @pytest.mark.parametrize("rule", ("gap-walk", "per-bit"))

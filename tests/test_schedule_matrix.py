@@ -1,5 +1,8 @@
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +109,20 @@ def test_array_views_equal_the_constructor_input_and_are_read_only(rng):
         with pytest.raises(ValueError):
             matrix.body[-1, -1] = 1 - matrix.body[-1, -1]
         assert (matrix.head == head).all() and (matrix.body == body).all()
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is imported only when head or body is read, in a fresh process
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import gasched.cli;"
+        " print('numpy' in sys.modules); from gasched import ScheduleMatrix;"
+        " body = ScheduleMatrix.empty(2, 3).body;"
+        " print(body.dtype, body.shape, body.flags.writeable)"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines() == ["False", "int8 (2, 3) False"]
 
 
 def _stream(rng, horizon):
