@@ -124,14 +124,14 @@ def _coerce(key: str, value: Any, provenance: str) -> Any:
 
 def _validate(cfg: RunConfig) -> None:
     """Check the rules no library config owns, then build the library
-    configs, which check the rest."""
+    configs, which check the rest, once per call: the command uses these
+    builds, kept on ``cfg`` outside its fields (``resolved()`` omits them)."""
     check_fields(cfg)
     last_seed = cfg.seed + (cfg.oracle_sweep - 1 if cfg.subcommand == "oracle-check" else 0)
     if last_seed >= 2**64:
         raise ConfigError("seed", f"the last seed used, {last_seed}, must be below 2**64")
-    cfg.ga_config(cfg.seed)
-    cfg.fitness_config()
-    cfg.sim_config()
+    cfg.ga_cfg, cfg.fitness_cfg, cfg.sim_cfg = (
+        cfg.ga_config(cfg.seed), cfg.fitness_config(), cfg.sim_config())
 
 
 @functools.cache
@@ -187,14 +187,17 @@ def _emit(doc: dict[str, Any], cfg: RunConfig, csv_text: str | None = None) -> N
     doc["config"] = cfg.resolved()
     doc["seed"] = cfg.seed
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    json_out = cfg.format != "csv" or csv_text is None  # no trace: JSON at any format
+    csv_out = csv_text is not None and cfg.format != "json"
     if cfg.out is None:
-        sys.stdout.write(text)
-        if csv_text is not None and cfg.format in ("csv", "both"):
+        if json_out:
+            sys.stdout.write(text)
+        if csv_out:
             sys.stdout.write(csv_text)
         return
-    if cfg.format in ("json", "both") or csv_text is None:
+    if json_out:
         _write(cfg.out, text)
-    if csv_text is not None and cfg.format in ("csv", "both"):
+    if csv_out:
         _write(cfg.out if cfg.format == "csv" else cfg.out + ".csv", csv_text)
 
 
@@ -215,15 +218,14 @@ def _load_jobs(cfg: RunConfig) -> list:
     return jobs
 
 
-def _make_problem(cfg: RunConfig, jobs, seed: int,
+def _make_problem(cfg: RunConfig, jobs, ga_cfg: GaConfig,
                   fitness_cfg: SchedulerFitnessConfig) -> SchedulingProblem:
-    return cfg._build(SchedulingProblem, jobs=jobs, fitness_cfg=fitness_cfg,
-                      ga_cfg=cfg.ga_config(seed))
+    return cfg._build(SchedulingProblem, jobs=jobs, fitness_cfg=fitness_cfg, ga_cfg=ga_cfg)
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
     jobs = _load_jobs(cfg)
-    result = optimize_schedule(_make_problem(cfg, jobs, cfg.seed, cfg.fitness_config()))
+    result = optimize_schedule(_make_problem(cfg, jobs, cfg.ga_cfg, cfg.fitness_cfg))
     _emit(
         {
             "best_fitness": result.fitness,
@@ -237,7 +239,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     jobs = load_workload(cfg.workload) if cfg.workload is not None else []
-    metrics = run_sim(cfg.sim_config(), jobs)
+    metrics = run_sim(cfg.sim_cfg, jobs)
     doc = {f.name: getattr(metrics, f.name) for f in fields(metrics) if f.name != "trace"}
     _emit(doc, cfg, csv_text=trace_csv(metrics))
     return 0
@@ -245,14 +247,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
     jobs = _load_jobs(cfg)
-    fitness_cfg = cfg.fitness_config()
-    oracle = brute_force_best(len(jobs), cfg.machines, cfg.queue_depth, fitness_cfg)
-    results = []
-    for offset in range(cfg.oracle_sweep):
-        # no schedule scores below the exact optimum, so a run that reaches
-        # it stops there with the fitness a run without the floor returns
-        problem = _make_problem(cfg, jobs, cfg.seed + offset, fitness_cfg)
-        results.append(optimize_schedule(problem, floor=oracle.optimum).fitness)
+    oracle = brute_force_best(len(jobs), cfg.machines, cfg.queue_depth, cfg.fitness_cfg)
+    problem = _make_problem(cfg, jobs, cfg.ga_cfg, cfg.fitness_cfg)
+    # a run stops at the exact optimum, which no schedule beats, with the fitness of
+    # a run without the floor; _validate checked the sweep's seeds lie below 2**64
+    results = [optimize_schedule(problem._with_seed(seed), floor=oracle.optimum).fitness
+               for seed in range(cfg.seed, cfg.seed + cfg.oracle_sweep)]
     ga_best = min(results)
     match = ga_best == oracle.optimum
     _emit(

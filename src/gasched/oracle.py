@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Sequence
 
 from .errors import BudgetError, ConfigError, DimensionError
@@ -88,17 +89,7 @@ def brute_force_best(
                           f"products, over the {PRODUCT_BUDGET} budget")
     count = 0
     for _, _, placed, o in optimal:
-        # ways[t]: maps of t labelled jobs onto the machines so far, each
-        # of the first o machines loaded in (w, top], every other in [0, low]
-        ways = [1] + [0] * placed
-        for i in range(k):
-            lo, hi = (w + 1, top) if i < o else (0, low)
-            row, new = [1] + [0] * hi, []  # row[l] = C(t, l), one Pascal step per t
-            for t in range(placed + 1):
-                for l in range(min(t, hi), 0, -1):
-                    row[l] += row[l - 1]
-                new.append(sum(row[l] * ways[t - l] for l in range(lo, min(hi, t) + 1)))
-            ways = new
+        ways = _spread_ways(placed, [(w + 1, top)] * o + [(0, low)] * (k - o))
         count += math.comb(k, o) * math.comb(job_count, placed) * ways[placed]
     best_loads = max(c[1] for c in optimal)
     witness = tuple(
@@ -108,3 +99,18 @@ def brute_force_best(
     if recheck != best:
         raise AssertionError("witness fitness does not match the reported optimum")
     return OracleResult(optimum=best, witness=witness, count=count)
+
+
+def _spread_ways(placed: int, ranges: list[tuple[int, int]]) -> list[int]:
+    """``ways[t]`` for t = 0..placed: the maps of t labelled jobs onto one
+    machine per ``(lo, hi)`` of ``ranges``, each loaded in ``[lo, hi]``."""
+    ways = [1] + [0] * placed
+    for lo, hi in ranges:
+        row, new = [1] + [0] * hi, []  # row[l] = C(t, l), one Pascal step per t
+        for t in range(placed + 1):
+            end = min(hi, t)
+            new.append(sum(map(mul, row[lo:end + 1], ways[t - end:t - lo + 1][::-1]))
+                       if end >= lo else 0)
+            row[1:] = map(add, row[1:], row)
+        ways = new
+    return ways

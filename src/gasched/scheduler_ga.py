@@ -80,6 +80,15 @@ class SchedulingProblem:
             raise ConfigError("workload", "job ids must be unique")
         self.fitness_cfg.check_finite(len(ids), self.k)
 
+    def _with_seed(self, seed: int) -> "SchedulingProblem":
+        """Trusted copy for a seed sweep: this problem with its GA config's
+        ``rng_seed`` set to ``seed``, which the caller checked; validates nothing."""
+        ga_cfg = object.__new__(GaConfig)
+        ga_cfg.__dict__.update(self.ga_cfg.__dict__, rng_seed=seed)
+        problem = object.__new__(SchedulingProblem)
+        problem.__dict__.update(self.__dict__, ga_cfg=ga_cfg)
+        return problem
+
 
 def score(loads: Sequence[int], drops: int, cfg: SchedulerFitnessConfig) -> float:
     """The objective: weighted count of dropped jobs and of machines whose

@@ -21,7 +21,7 @@ from gasched import (
     brute_force_best,
     optimize_schedule,
 )
-from gasched import ga_core, simulator
+from gasched import cli, ga_core, simulator
 from gasched.cli import SUBCOMMANDS, RunConfig, _make_problem, main, parse_config
 from gasched.errors import ConfigError
 
@@ -301,7 +301,7 @@ def test_every_key_lands_on_its_library_field(tmp_path):
     assert cfg.sim_config() == SimConfig(k=5, m=6, send_failure_prob=0.19, rebalance_interval=7,
                                          horizon=21, max_recalls=8, overload=overload, seed=11)
     jobs = [Job(0, 1, 0)]
-    assert _make_problem(cfg, jobs, 99, cfg.fitness_config()) == SchedulingProblem(
+    assert _make_problem(cfg, jobs, cfg.ga_config(99), cfg.fitness_config()) == SchedulingProblem(
         jobs=jobs, k=5, m=6, fitness_cfg=fitness, ga_cfg=ga)
 
 
@@ -435,6 +435,23 @@ def test_simulate_both_formats_writes_csv_trace(tmp_path):
     assert len(csv_text.strip().splitlines()) == 6
 
 
+def test_simulate_csv_to_stdout_writes_only_the_trace(tmp_path, capsys):
+    wl = write_workload(tmp_path, [(0, 0, 1), (1, 2, 2)])
+    argv = ["simulate", "--workload", wl, "--horizon", "7", "--seed", "3"]
+    outs = {}
+    for fmt in ("json", "csv", "both"):
+        assert main([*argv, "--format", fmt]) == 0
+        outs[fmt] = capsys.readouterr().out
+    lines = outs["csv"].splitlines()
+    assert lines[0] == "tick,completed,dropped,mean_load"
+    assert len(lines) == 8  # the header and one line per tick
+    # json writes the document alone, and both the document, then the trace
+    doc = json.loads(outs["json"])
+    assert outs["both"].endswith(outs["csv"])
+    assert json.loads(outs["both"][:-len(outs["csv"])]) == doc | {
+        "config": doc["config"] | {"format": "both"}}
+
+
 def test_simulate_counts_paced_workload(tmp_path):
     wl = write_workload(tmp_path, [(i, i, 1) for i in range(6)])
     out = tmp_path / "m.json"
@@ -560,6 +577,66 @@ def test_oracle_check_sweep_runs_optimize_at_each_seed(tmp_path, capsys):
         single.append(json.loads(capsys.readouterr().out)["best_fitness"])
     assert sweep == single
     assert len(set(sweep)) > 1
+
+
+@pytest.mark.parametrize("sweep", [1, 5])
+def test_oracle_check_validates_each_library_object_once(tmp_path, capsys, monkeypatch, sweep):
+    # the command runs on _validate's builds, and each seed of the sweep on a
+    # trusted copy of one validated problem
+    calls = {}
+    for cls in (GaConfig, SchedulerFitnessConfig, SimConfig, SchedulingProblem):
+        def counted(self, post_init=cls.__post_init__, name=cls.__name__):
+            calls[name] = calls.get(name, 0) + 1
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    wl = write_workload(tmp_path, [(i, 0, 1) for i in range(5)])
+    cfg_path = write_config(tmp_path, {"oracle_sweep": sweep, "population": 4})
+    assert main(["oracle-check", "--config", cfg_path, "--workload", wl, "--w", "1"]) in (0, 1)
+    assert len(json.loads(capsys.readouterr().out)["ga_sweep"]) == sweep
+    assert calls == {"GaConfig": 1, "SchedulerFitnessConfig": 1, "SimConfig": 1,
+                     "SchedulingProblem": 1}
+
+
+def test_oracle_check_runs_each_seed_on_the_publicly_built_problem(tmp_path, capsys,
+                                                                   monkeypatch):
+    problems = []
+
+    def recording(problem, **kwargs):
+        problems.append(problem)
+        return optimize_schedule(problem, **kwargs)
+
+    monkeypatch.setattr(cli, "optimize_schedule", recording)
+    wl = write_workload(tmp_path, [(i, 0, 1) for i in range(6)])
+    cfg_path = write_config(tmp_path, {"oracle_sweep": 4, "population": 4})
+    argv = ["oracle-check", "--config", cfg_path, "--workload", wl, "--w", "1", "--seed", "7"]
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    cfg = parse_config(argv)
+    jobs = simulator.load_workload(wl)
+    assert [p.ga_cfg.rng_seed for p in problems] == [7, 8, 9, 10]
+    assert [p.ga_cfg for p in problems] == [cfg.ga_config(seed) for seed in range(7, 11)]
+    assert problems == [_make_problem(cfg, jobs, cfg.ga_config(seed), cfg.fitness_config())
+                        for seed in range(7, 11)]
+
+
+def test_public_entries_still_reject_what_the_sweep_copies_trust(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        GaConfig(population_size=4, max_generations=1, rng_seed=2**64)
+    assert err.value.key == "seed"
+    with pytest.raises(ConfigError) as err:
+        SchedulingProblem(jobs=[Job(1, 1, 0), Job(1, 2, 0)], k=3, m=3,
+                          fitness_cfg=SchedulerFitnessConfig(overload=OverloadConfig(w=1, delta=0)),
+                          ga_cfg=GaConfig(population_size=4, max_generations=1))
+    assert str(err.value) == "workload: job ids must be unique"
+    # the sweep's last seed, seed + oracle_sweep - 1, must lie below 2**64
+    wl = write_workload(tmp_path, [(0, 0, 1)])
+    cfg_path = write_config(tmp_path, {"oracle_sweep": 3})
+    argv = ["oracle-check", "--config", cfg_path, "--workload", wl, "--seed"]
+    assert main([*argv, str(2**64 - 3)]) == 0
+    assert json.loads(capsys.readouterr().out)["ga_sweep"] == [0.0, 0.0, 0.0]
+    assert main([*argv, str(2**64 - 2)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: seed: the last seed used, 18446744073709551616, must be below 2**64\n")
 
 
 # criterion 2's grid, then every (w, delta) at J=9, k=3, m=3

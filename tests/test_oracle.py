@@ -16,7 +16,7 @@ from gasched import (
     schedule_fitness,
 )
 from gasched.errors import BudgetError, ConfigError, DimensionError
-from gasched.oracle import PRODUCT_BUDGET, assignment_to_matrix
+from gasched.oracle import PRODUCT_BUDGET, _spread_ways, assignment_to_matrix
 from gasched.scheduler_ga import score
 
 # the size limit of the two reference searches below
@@ -235,7 +235,33 @@ def test_assignment_fitness_agrees_with_matrix_route():
         assert direct == via_matrix
 
 
+def loop_spread_ways(placed, ranges):
+    """The per-element loops that _spread_ways replaced: ways[t] for
+    t = 0..placed, the maps of t labelled jobs onto one machine per
+    (lo, hi) of ranges, each loaded in [lo, hi]."""
+    ways = [1] + [0] * placed
+    for lo, hi in ranges:
+        row, new = [1] + [0] * hi, []  # row[l] = C(t, l), one Pascal step per t
+        for t in range(placed + 1):
+            for l in range(min(t, hi), 0, -1):
+                row[l] += row[l - 1]
+            new.append(sum(row[l] * ways[t - l] for l in range(lo, min(hi, t) + 1)))
+        ways = new
+    return ways
+
+
 # ------------------------------------------------------ brute force vs references
+
+def test_spread_ways_matches_the_per_element_loops():
+    # brute_force_best's ranges: o machines in [w + 1, top], k - o in [0, low].
+    # 40 jobs stand for every J <= 40, since ways[t] does not depend on
+    # placed > t and J < m gives the ranges of m = J. o runs 0..k, and end < lo
+    # holds at every t < lo, and at every t when w = m puts lo above top
+    for m, k in itertools.product(range(1, 9), range(1, 7)):
+        for w, o in itertools.product(range(m + 1), range(k + 1)):
+            ranges = [(w + 1, m)] * o + [(0, w)] * (k - o)
+            assert _spread_ways(40, ranges) == loop_spread_ways(40, ranges), (m, k, w, o)
+
 
 def test_brute_force_matches_assignment_scan():
     for job_count, k, m in itertools.product(range(1, 8), range(1, 4), range(1, 4)):
