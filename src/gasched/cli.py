@@ -10,15 +10,18 @@ reads takes its default from that field, and each library config is built
 from the keys its fields name (``errors.checked``); only per-call values
 (a GA run's seed, the jobs and the nested configs) are passed by hand.
 
-Exit codes: 0 success, 1 GA-vs-oracle mismatch, 2 configuration error.
+Exit codes: 0 success, 1 GA-vs-oracle mismatch, 2 configuration error
+or a failed write to stdout (a reader that closed the pipe, say).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Any
@@ -183,22 +186,32 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 def _emit(doc: dict[str, Any], cfg: RunConfig, csv_text: str | None = None) -> None:
-    doc = dict(doc)
-    doc["config"] = cfg.resolved()
-    doc["seed"] = cfg.seed
+    doc = {**doc, "config": cfg.resolved(), "seed": cfg.seed}
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     json_out = cfg.format != "csv" or csv_text is None  # no trace: JSON at any format
     csv_out = csv_text is not None and cfg.format != "json"
     if cfg.out is None:
-        if json_out:
-            sys.stdout.write(text)
-        if csv_out:
-            sys.stdout.write(csv_text)
+        _print((text if json_out else "") + (csv_text if csv_out else ""))
         return
     if json_out:
         _write(cfg.out, text)
     if csv_out:
         _write(cfg.out if cfg.format == "csv" else cfg.out + ".csv", csv_text)
+
+
+def _print(text: str) -> None:
+    """Write ``text`` to stdout and flush it. A failed write, or no stdout
+    (None when fd 1 was closed at start), is an error; fd 1 then points at
+    os.devnull, so the interpreter's flush at exit neither fails nor prints."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except (AttributeError, OSError, ValueError) as exc:  # ValueError: stdout is closed
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # no fd behind stdout
+            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise GaschedError(f"cannot write to stdout: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -270,7 +283,7 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
 
 
 def cmd_print_config(cfg: RunConfig) -> int:
-    sys.stdout.write(json.dumps(cfg.resolved(), sort_keys=True, indent=2) + "\n")
+    _print(json.dumps(cfg.resolved(), sort_keys=True, indent=2) + "\n")
     return 0
 
 

@@ -8,7 +8,7 @@ is queued at this machine"; a labeled all-zero body row is a job whose
 send failed (a dropped job awaiting recall or repair).
 The simulator retires finished jobs straight from service, so in a run
 the head row is only the recall slot: a failed job's all-zero row waits
-there for one tick before ``recall_job`` puts it back in the queue.
+there for one tick before ``_recall_job_inplace`` puts it back in the queue.
 
 Row i is stored as ``rows[i]``, a k-bit ``int`` mask with bit j set for
 a 1 at machine j + 1 (the layout of a genome's job row), beside its label
@@ -17,21 +17,13 @@ a 1 at machine j + 1 (the layout of a genome's job row), beside its label
 rows on each access; no operator reads them, and numpy is imported only
 there, so importing the package (and the CLI) does not load it.
 
-The public operators are pure: they return a new matrix and leave their
-input untouched, so values may be shared freely across threads. Each
-queue operator the simulator runs (``shift_up``, ``recall_job``,
-``mutate_dropped_rows``, ``rebalance_crossover``) is a thin wrapper that
-copies its input and runs the operator's in-place core
-(``_shift_up_inplace`` and so on) on the copy. A single owner of a
-matrix, such as the simulator's run state or the final polish of
-``optimize_schedule``, calls the cores directly and so builds no new
-matrix per step.
-
-The cores that read column loads (``_recall_job_inplace``,
-``_mutate_dropped_rows_inplace``, ``_rebalance_crossover_inplace``) take
-the caller's body column loads, as ``column_loads`` returns them, and
-keep that list equal to ``column_loads`` of the edited matrix; their pure
-wrappers pass ``column_loads`` of the copy.
+Each queue operator exists once, as an in-place core that edits the
+matrix it is given (``_shift_up_inplace``, ``_recall_job_inplace``,
+``_mutate_dropped_rows_inplace``, ``_rebalance_crossover_inplace``), so the
+simulator's run state and the polish of ``optimize_schedule`` build no
+matrix per step; a caller that keeps its input runs a core on a copy. The
+cores that read column loads take the caller's list, as ``column_loads``
+returns it, and keep it equal to ``column_loads`` of the edited matrix.
 """
 
 from __future__ import annotations
@@ -144,7 +136,7 @@ def _add_bits(loads: list[int], row: int, count: int) -> None:
         row ^= low
 
 
-def shift_up(matrix: ScheduleMatrix) -> ScheduleMatrix:
+def _shift_up_inplace(matrix: ScheduleMatrix) -> None:
     """Advance every queue by one slot (the nilpotent shift).
 
     The old top body row becomes the head row, each body row moves up,
@@ -152,37 +144,12 @@ def shift_up(matrix: ScheduleMatrix) -> ScheduleMatrix:
     The head must be fully cleared first (bits and label), since its
     content would otherwise be silently destroyed.
     """
-    out = matrix.copy()
-    _shift_up_inplace(out)
-    return out
-
-
-def _shift_up_inplace(matrix: ScheduleMatrix) -> None:
     if matrix.rows[0] or matrix.labels[0] is not None:
         raise StateError("head row must be cleared (complete/recall) before shifting")
     del matrix.rows[0]
     matrix.rows.append(0)
     del matrix.labels[0]
     matrix.labels.append(None)
-
-
-def complete_heads(
-    matrix: ScheduleMatrix,
-) -> tuple[ScheduleMatrix, list[JobId], list[JobId]]:
-    """Retire the head row.
-
-    A head job with a 1 anywhere completed and leaves the system for
-    good; a head job whose whole row is zero failed its send and is
-    reported for recall. Either way the head row ends empty.
-    """
-    out = matrix.copy()
-    completed: list[JobId] = []
-    to_recall: list[JobId] = []
-    job = out.labels[0]
-    if job is not None:
-        (completed if out.rows[0] else to_recall).append(job)
-    out.rows[0], out.labels[0] = 0, None
-    return out, completed, to_recall
 
 
 def column_loads(matrix: ScheduleMatrix) -> list[int]:
@@ -194,18 +161,12 @@ def column_loads(matrix: ScheduleMatrix) -> list[int]:
     return loads
 
 
-def recall_job(matrix: ScheduleMatrix, job: JobId) -> ScheduleMatrix:
+def _recall_job_inplace(matrix: ScheduleMatrix, loads: list[int], job: JobId) -> None:
     """Reinsert a failed job as a single 1 in the last body row.
 
     Placement targets the least-loaded machine (ties to the lowest
     index); no random draw is made.
     """
-    out = matrix.copy()
-    _recall_job_inplace(out, column_loads(out), job)
-    return out
-
-
-def _recall_job_inplace(matrix: ScheduleMatrix, loads: list[int], job: JobId) -> None:
     if matrix.labels[matrix.m] is not None:
         raise CapacityError("last queue row is occupied; job cannot be recalled now")
     col = loads.index(min(loads))
@@ -258,9 +219,9 @@ def check_shape(k: int, m: int, overload: OverloadConfig | None) -> None:
             raise ConfigError("delta", "must not exceed machines")
 
 
-def rebalance_crossover(
-    matrix: ScheduleMatrix, cfg: OverloadConfig
-) -> tuple[ScheduleMatrix, bool]:
+def _rebalance_crossover_inplace(
+    matrix: ScheduleMatrix, loads: list[int], cfg: OverloadConfig
+) -> bool:
     """Move queued jobs off overloaded machines until at most ``delta``
     machines exceed ``w``.
 
@@ -268,18 +229,10 @@ def rebalance_crossover(
     column that still has room below ``w``, and moves the deepest 1 of
     the first whose row holds a 0 in the second over to the second,
     within that row; untouched entries keep their within-column order,
-    and the total number of queued jobs never changes. Returns the
-    rebalanced matrix and whether the ``delta`` target was reached (False
-    means best effort: no remaining move could relieve a column above
-    ``w``).
+    and the total number of queued jobs never changes. Returns whether
+    the ``delta`` target was reached (False means best effort: no
+    remaining move could relieve a column above ``w``).
     """
-    out = matrix.copy()
-    return out, _rebalance_crossover_inplace(out, column_loads(out), cfg)
-
-
-def _rebalance_crossover_inplace(
-    matrix: ScheduleMatrix, loads: list[int], cfg: OverloadConfig
-) -> bool:
     while True:
         over = [j for j in range(matrix.k) if loads[j] > cfg.w]
         if len(over) <= cfg.delta:
@@ -298,17 +251,11 @@ def _rebalance_crossover_inplace(
         loads[tgt] += 1
 
 
-def mutate_dropped_rows(matrix: ScheduleMatrix, rng: random.Random) -> ScheduleMatrix:
-    """Give every labeled all-zero body row exactly one 1, in a uniformly
-    random column."""
-    out = matrix.copy()
-    _mutate_dropped_rows_inplace(out, column_loads(out), rng)
-    return out
-
-
 def _mutate_dropped_rows_inplace(
     matrix: ScheduleMatrix, loads: list[int], rng: random.Random
 ) -> None:
+    """Give every labeled all-zero body row exactly one 1, in a uniformly
+    random column."""
     for i in matrix.dropped_rows():
         col = rng.randrange(matrix.k)
         matrix.rows[i + 1] = 1 << col

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from gasched import Genome, ScheduleMatrix
+from gasched import Genome, ScheduleMatrix, column_loads
 from gasched.errors import DimensionError
 
 
@@ -16,6 +16,13 @@ def popcount_fitness(length):
         return float(sum(genome.bits))
 
     return fitness
+
+
+def on_copy(core, matrix: ScheduleMatrix, *args):
+    """Run the in-place queue operator ``core`` on a copy of ``matrix``, with
+    the copy's column loads; return the copy and what the core returned."""
+    out = matrix.copy()
+    return out, core(out, column_loads(out), *args)
 
 
 def random_matrix(rng: random.Random, m: int, k: int, density: float = 0.4,

@@ -21,21 +21,22 @@ from gasched import (
     SimConfig,
     brute_force_best,
     column_loads,
-    complete_heads,
     crossover,
     has_converged,
     inverse_select,
-    mutate_dropped_rows,
     optimize_schedule,
     random_genome,
-    rebalance_crossover,
     repair_rows,
     run,
     run_sim,
-    shift_up,
+)
+from gasched.schedule_matrix import (
+    _mutate_dropped_rows_inplace,
+    _rebalance_crossover_inplace,
+    _shift_up_inplace,
 )
 
-from conftest import popcount_fitness, random_matrix
+from conftest import on_copy, popcount_fitness, random_matrix
 
 
 def report(number: int, description: str, ok: bool, started: float) -> None:
@@ -120,14 +121,15 @@ def test_criterion_3_shift_equals_nilpotent_product():
         u = np.zeros((m, m), dtype=np.int8)
         for i in range(m - 1):
             u[i, i + 1] = 1
-        shifted = shift_up(matrix)
+        shifted = matrix.copy()
+        _shift_up_inplace(shifted)
         ok = ok and (shifted.body == u @ matrix.body).all()
         ok = ok and (shifted.head == matrix.body[0]).all()
         # m applications (with cleared heads) annihilate the body
-        cleared = matrix
+        cleared = matrix.copy()
         for _ in range(m):
-            cleared, _, _ = complete_heads(cleared)
-            cleared = shift_up(cleared)
+            cleared.rows[0], cleared.labels[0] = 0, None
+            _shift_up_inplace(cleared)
         ok = ok and not cleared.body.any()
     report(3, "shift equals the dense superdiagonal product; m shifts zero the body", ok, started)
 
@@ -168,12 +170,12 @@ def test_criterion_5_inverse_selection_and_rebalance():
             j + 1 for j in range(k) if loads[j] > w
         }
         before = sum(1 for x in loads if x > w)
-        balanced, _ = rebalance_crossover(matrix, cfg)
+        balanced, _ = on_copy(_rebalance_crossover_inplace, matrix, cfg)
         after = sum(1 for x in column_loads(balanced) if x > w)
         ok = ok and int(balanced.body.sum()) == int(matrix.body.sum())
         ok = ok and after <= before
         if sum(loads) <= k * w:
-            zeroed, _ = rebalance_crossover(matrix, OverloadConfig(w=w, delta=0))
+            zeroed, _ = on_copy(_rebalance_crossover_inplace, matrix, OverloadConfig(w=w, delta=0))
             ok = ok and sum(1 for x in column_loads(zeroed) if x > w) == 0
     report(5, "inverse selection exact; rebalance conserves jobs and clears overloads", ok, started)
 
@@ -187,7 +189,7 @@ def test_criterion_6_dropped_row_mutation():
     for _ in range(300):
         matrix = repair_rows(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 5), labeled=True))
         zero_rows = matrix.dropped_rows()
-        mutated = mutate_dropped_rows(matrix, rng)
+        mutated, _ = on_copy(_mutate_dropped_rows_inplace, matrix, rng)
         ok = ok and mutated.dropped_rows() == []
         ok = ok and all(int(mutated.body[i].sum()) == 1 for i in zero_rows)
     counts = [0, 0, 0, 0]
@@ -195,7 +197,7 @@ def test_criterion_6_dropped_row_mutation():
     scratch = ScheduleMatrix.empty(1, 4)
     scratch.labels[1] = 1
     for _ in range(trials):
-        out = mutate_dropped_rows(scratch, rng)
+        out, _ = on_copy(_mutate_dropped_rows_inplace, scratch, rng)
         counts[int(np.argmax(out.body[0]))] += 1
     ok = ok and all(abs(c / trials - 0.25) <= 0.02 for c in counts)
     report(6, "dropped rows each gain exactly one 1; column choice uniform", ok, started)

@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -450,6 +453,36 @@ def test_simulate_csv_to_stdout_writes_only_the_trace(tmp_path, capsys):
     assert outs["both"].endswith(outs["csv"])
     assert json.loads(outs["both"][:-len(outs["csv"])]) == doc | {
         "config": doc["config"] | {"format": "both"}}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_exits_two_with_one_error_line(fmt):
+    # the reader closes the pipe at once: the csv trace fails in the write,
+    # the short json document in the flush
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gasched", "simulate", "--horizon", "50000", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+# None is what Python makes sys.stdout when fd 1 is closed at start (`gasched ... >&-`)
+@pytest.mark.parametrize("stdout", [_BrokenPipe(), None], ids=["broken-pipe", "none"])
+def test_print_config_to_a_failing_stdout_exits_two(capsys, stdout):
+    with contextlib.redirect_stdout(stdout):
+        assert main(["print-config"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write to stdout: ") and err.count("\n") == 1
 
 
 def test_simulate_counts_paced_workload(tmp_path):

@@ -18,18 +18,13 @@ from gasched import (
     SimConfig,
     brute_force_best,
     column_loads,
-    complete_heads,
     decode_schedule,
     from_text,
     inverse_select,
-    mutate_dropped_rows,
     optimize_schedule,
-    rebalance_crossover,
-    recall_job,
     repair_rows,
     run_sim,
     schedule_fitness,
-    shift_up,
     to_text,
 )
 from gasched import simulator
@@ -41,7 +36,7 @@ from gasched.schedule_matrix import (
     _shift_up_inplace,
 )
 
-from conftest import random_matrix, random_parts
+from conftest import on_copy, random_matrix, random_parts
 
 
 def nilpotent_shift(m: int) -> np.ndarray:
@@ -169,66 +164,42 @@ def test_operator_paths_never_build_an_array_view(monkeypatch, rng):
     assert from_text(to_text(result.matrix)) == result.matrix
 
 
-# ------------------------------------------- pure wrappers over in-place cores
-# Each case readies a random matrix for one operator and returns the pure
-# wrapper, its in-place core, a maker of fresh extra arguments (a new
-# rng with the same seed each call, so both sides draw the same numbers),
-# and whether the core takes the caller's column loads after the matrix.
-
-def _shift_case(rng, matrix):
-    matrix.rows[0] = 0
-    matrix.labels[0] = None
-    return shift_up, _shift_up_inplace, lambda: (), False
-
+# ----------------------------------------------- in-place cores and loads
+# Each case readies a random matrix for one core that reads column loads
+# and returns the core and its arguments after the matrix and loads.
 
 def _recall_case(rng, matrix):
     matrix.rows[-1] = 0
     matrix.labels[-1] = None
-    return recall_job, _recall_job_inplace, lambda: (999,), True
+    return _recall_job_inplace, (999,)
 
 
 def _mutate_case(rng, matrix):
-    seed = rng.getrandbits(32)
-    return (mutate_dropped_rows, _mutate_dropped_rows_inplace,
-            lambda: (random.Random(seed),), True)
+    return _mutate_dropped_rows_inplace, (random.Random(rng.getrandbits(32)),)
 
 
 def _rebalance_case(rng, matrix):
     cfg = OverloadConfig(w=rng.randint(0, matrix.m), delta=rng.randint(0, matrix.k))
-    return rebalance_crossover, _rebalance_crossover_inplace, lambda: (cfg,), True
+    return _rebalance_crossover_inplace, (cfg,)
 
 
-@pytest.mark.parametrize("case", [_shift_case, _recall_case,
-                                  _mutate_case, _rebalance_case])
-def test_pure_wrapper_equals_core_on_a_copy_and_keeps_input(case, rng):
-    for _ in range(200):
-        matrix = repair_rows(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 5),
-                                           labeled=True))
-        pure, core, make_args, takes_loads = case(rng, matrix)
-        before = matrix.copy()
-        result = pure(matrix, *make_args())
-        assert matrix == before
-        out = matrix.copy()
-        if takes_loads:
-            loads = column_loads(matrix)
-            extras = core(out, loads, *make_args())
-            assert loads == column_loads(out)  # the core kept the caller's loads
-        else:
-            extras = core(out, *make_args())
-        got, got_extras = (result[0], result[1:]) if isinstance(result, tuple) else (result, ())
-        if extras is None:
-            extras = ()
-        elif not isinstance(extras, tuple):
-            extras = (extras,)
-        assert got is not matrix
-        assert got == out and got_extras == extras
+@pytest.mark.parametrize("case", [_recall_case, _mutate_case, _rebalance_case])
+def test_core_keeps_the_callers_loads_equal_to_column_loads(case, rng):
+    # small random shapes, then the deep pipeline shape k = 16, m = 256
+    shapes = [(rng.randint(1, 6), rng.randint(1, 5)) for _ in range(200)] + [(256, 16)] * 10
+    for m_rows, k in shapes:
+        matrix = repair_rows(random_matrix(rng, m_rows, k, labeled=True))
+        core, args = case(rng, matrix)
+        loads = column_loads(matrix)
+        core(matrix, loads, *args)
+        assert loads == column_loads(matrix)
 
 
 # ---------------------------------------------------------------- shift_up
 
 def test_shift_moves_single_entry_with_its_label():
-    m = matrix_from_body([[0], [1]], labels=[None, None, 9])
-    out = shift_up(m)
+    out = matrix_from_body([[0], [1]], labels=[None, None, 9])
+    _shift_up_inplace(out)
     assert out.body.tolist() == [[1], [0]]
     assert out.labels == [None, 9, None]
     assert not out.head.any()
@@ -236,7 +207,8 @@ def test_shift_moves_single_entry_with_its_label():
 
 def test_shift_on_zero_matrix_is_zero():
     m = ScheduleMatrix.empty(4, 3)
-    out = shift_up(m)
+    out = m.copy()
+    _shift_up_inplace(out)
     assert out == m
 
 
@@ -244,11 +216,11 @@ def test_shift_requires_cleared_head():
     m = ScheduleMatrix.empty(2, 2)
     m.rows[0] = 0b10
     with pytest.raises(StateError):
-        shift_up(m)
+        _shift_up_inplace(m)
     labeled = ScheduleMatrix.empty(2, 2)
     labeled.labels[0] = 4
     with pytest.raises(StateError):
-        shift_up(labeled)
+        _shift_up_inplace(labeled)
 
 
 def test_shift_equals_dense_superdiagonal_product(rng):
@@ -257,7 +229,8 @@ def test_shift_equals_dense_superdiagonal_product(rng):
         k = rng.randint(1, 8)
         matrix = random_matrix(rng, m_rows, k)
         matrix.rows[0] = 0
-        out = shift_up(matrix)
+        out = matrix.copy()
+        _shift_up_inplace(out)
         expected_body = nilpotent_shift(m_rows) @ matrix.body
         assert (out.body == expected_body).all()
         assert (out.head == matrix.body[0]).all()
@@ -270,35 +243,9 @@ def test_repeated_shift_zeroes_any_body(rng):
         matrix = random_matrix(rng, m_rows, k)
         matrix.rows[0] = 0
         for _ in range(m_rows):
-            matrix, _, _ = complete_heads(matrix)
-            matrix = shift_up(matrix)
+            matrix.rows[0], matrix.labels[0] = 0, None
+            _shift_up_inplace(matrix)
         assert not matrix.body.any()
-
-
-# ----------------------------------------------------------- complete_heads
-
-def test_complete_head_with_set_bit():
-    m = matrix_from_body([[0, 0, 0]], labels=[7, None], head=[1, 0, 0])
-    out, completed, to_recall = complete_heads(m)
-    assert completed == [7]
-    assert to_recall == []
-    assert out.labels[0] is None
-    assert not out.head.any()
-
-
-def test_complete_head_all_zero_requests_recall():
-    m = matrix_from_body([[0, 0, 0]], labels=[3, None], head=[0, 0, 0])
-    out, completed, to_recall = complete_heads(m)
-    assert completed == []
-    assert to_recall == [3]
-    assert out.labels[0] is None
-
-
-def test_complete_empty_head_is_noop():
-    m = ScheduleMatrix.empty(2, 3)
-    out, completed, to_recall = complete_heads(m)
-    assert completed == [] and to_recall == []
-    assert out == m
 
 
 # -------------------------------------------------------------- recall_job
@@ -306,7 +253,7 @@ def test_complete_empty_head_is_noop():
 def test_recall_targets_least_loaded_column():
     body = [[1, 0, 0], [1, 0, 1], [0, 0, 0]]
     m = matrix_from_body(body, labels=[None, 1, 2, None])
-    out = recall_job(m, 5)
+    out, _ = on_copy(_recall_job_inplace, m, 5)
     assert out.body[2].tolist() == [0, 1, 0]
     assert out.labels[3] == 5
 
@@ -314,14 +261,14 @@ def test_recall_targets_least_loaded_column():
 def test_recall_breaks_ties_to_lowest_column():
     body = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
     m = matrix_from_body(body, labels=[None, 1, 2, 3, None])
-    out = recall_job(m, 9)
+    out, _ = on_copy(_recall_job_inplace, m, 9)
     assert out.body[3].tolist() == [1, 0, 0]
 
 
 def test_recall_rejects_occupied_last_row():
     m = matrix_from_body([[1, 0]], labels=[None, 4])
     with pytest.raises(CapacityError):
-        recall_job(m, 5)
+        _recall_job_inplace(m, column_loads(m), 5)
 
 
 def test_recall_places_exactly_one_bit(rng):
@@ -331,8 +278,8 @@ def test_recall_places_exactly_one_bit(rng):
         matrix = random_matrix(rng, m_rows, k, labeled=True)
         matrix.rows[m_rows] = 0
         matrix.labels[m_rows] = None
-        out = recall_job(matrix, 999)
-        assert int(out.body[m_rows - 1].sum()) == 1
+        _recall_job_inplace(matrix, column_loads(matrix), 999)
+        assert int(matrix.body[m_rows - 1].sum()) == 1
 
 
 def test_recall_core_takes_stray_bits_of_unlabeled_last_row_off_loads():
@@ -448,7 +395,7 @@ def min_overloads_by_redistribution(total, k, m, w):
 def test_rebalance_splits_single_full_column():
     body = [[1, 0], [1, 0], [1, 0], [1, 0]]
     m = matrix_from_body(body, labels=[None, 1, 2, 3, 4])
-    out, reached = rebalance_crossover(m, OverloadConfig(w=2, delta=0))
+    out, reached = on_copy(_rebalance_crossover_inplace, m, OverloadConfig(w=2, delta=0))
     assert reached
     assert column_loads(out) == [2, 2]
     assert overload_count(out, 2) == 0
@@ -457,7 +404,7 @@ def test_rebalance_splits_single_full_column():
 def test_rebalance_leaves_feasible_matrix_alone():
     body = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     m = matrix_from_body(body, labels=[None, 1, 2, 3])
-    out, reached = rebalance_crossover(m, OverloadConfig(w=2, delta=0))
+    out, reached = on_copy(_rebalance_crossover_inplace, m, OverloadConfig(w=2, delta=0))
     assert reached
     assert out == m
 
@@ -473,7 +420,7 @@ def _check_rebalance_preserves_popcount_and_never_worsens(rng, repair):
         delta = rng.randint(0, k)
         cfg = OverloadConfig(w=w, delta=delta)
         before = overload_count(matrix, w)
-        out, reached = rebalance_crossover(matrix, cfg)
+        out, reached = on_copy(_rebalance_crossover_inplace, matrix, cfg)
         assert int(out.body.sum()) == int(matrix.body.sum())
         after = overload_count(out, w)
         assert after <= before
@@ -495,7 +442,7 @@ def test_rebalance_moves_only_from_rows_free_at_the_target():
     # the deepest 1 of column 1 sits in a row that already has a 1 in
     # column 2; moving it there would lose a queued job
     m = matrix_from_body([[1, 0], [1, 0], [1, 1]], labels=[None, 1, 2, 3])
-    out, reached = rebalance_crossover(m, OverloadConfig(w=2, delta=0))
+    out, reached = on_copy(_rebalance_crossover_inplace, m, OverloadConfig(w=2, delta=0))
     assert reached
     assert out.body.tolist() == [[1, 0], [0, 1], [1, 1]]
     assert column_loads(out) == [2, 2]
@@ -509,7 +456,7 @@ def test_rebalance_reaches_zero_under_total_capacity(rng):
         w = rng.randint(1, m_rows)
         if sum(column_loads(matrix)) > k * w:
             continue
-        out, _ = rebalance_crossover(matrix, OverloadConfig(w=w, delta=0))
+        out, _ = on_copy(_rebalance_crossover_inplace, matrix, OverloadConfig(w=w, delta=0))
         assert overload_count(out, w) == 0
 
 
@@ -519,7 +466,7 @@ def test_rebalance_matches_exhaustive_minimum_on_small_grids(rng):
         k = rng.randint(1, 3)
         matrix = repair_rows(random_matrix(rng, m_rows, k, density=0.7))
         w = rng.randint(1, 2)
-        out, _ = rebalance_crossover(matrix, OverloadConfig(w=w, delta=0))
+        out, _ = on_copy(_rebalance_crossover_inplace, matrix, OverloadConfig(w=w, delta=0))
         total = int(matrix.body.sum())
         assert overload_count(out, w) == min_overloads_by_redistribution(
             total, k, m_rows, w
@@ -529,7 +476,7 @@ def test_rebalance_matches_exhaustive_minimum_on_small_grids(rng):
 def test_rebalance_preserves_within_column_order_of_untouched_entries():
     body = [[0, 1], [1, 0], [1, 0], [1, 0], [1, 0]]
     m = matrix_from_body(body, labels=[None, 10, 11, 12, 13, 14])
-    out, _ = rebalance_crossover(m, OverloadConfig(w=3, delta=0))
+    out, _ = on_copy(_rebalance_crossover_inplace, m, OverloadConfig(w=3, delta=0))
     # the deepest entry of column 1 moved; everything else kept its row
     assert out.body[:4].tolist() == body[:4]
     assert out.body[4].tolist() == [0, 1]
@@ -539,13 +486,13 @@ def test_rebalance_preserves_within_column_order_of_untouched_entries():
 
 def test_mutate_fills_labeled_zero_row():
     m = matrix_from_body([[0, 0, 0]], labels=[None, 5])
-    out = mutate_dropped_rows(m, random.Random(0))
+    out, _ = on_copy(_mutate_dropped_rows_inplace, m, random.Random(0))
     assert int(out.body[0].sum()) == 1
 
 
 def test_mutate_without_dropped_rows_is_identity(rng):
     matrix = matrix_from_body([[0, 1], [1, 0]], labels=[None, 1, 2])
-    assert mutate_dropped_rows(matrix, random.Random(3)) == matrix
+    assert on_copy(_mutate_dropped_rows_inplace, matrix, random.Random(3))[0] == matrix
 
 
 def test_mutate_column_choice_is_uniform():
@@ -554,8 +501,8 @@ def test_mutate_column_choice_is_uniform():
     n = 10000
     for _ in range(n):
         m = matrix_from_body([[0, 0, 0, 0]], labels=[None, 5])
-        out = mutate_dropped_rows(m, rng_)
-        counts[int(np.argmax(out.body[0]))] += 1
+        _mutate_dropped_rows_inplace(m, column_loads(m), rng_)
+        counts[int(np.argmax(m.body[0]))] += 1
     for c in counts:
         assert abs(c / n - 0.25) <= 0.02
 
@@ -563,8 +510,8 @@ def test_mutate_column_choice_is_uniform():
 def test_mutate_leaves_no_labeled_zero_rows(rng):
     for _ in range(200):
         matrix = repair_rows(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 5), labeled=True))
-        out = mutate_dropped_rows(matrix, rng)
-        assert out.dropped_rows() == []
+        _mutate_dropped_rows_inplace(matrix, column_loads(matrix), rng)
+        assert matrix.dropped_rows() == []
 
 
 # ------------------------------------------------------- genome round trip
@@ -613,14 +560,17 @@ def test_jobs_stay_in_exactly_one_state_across_cycles(rng):
         all_jobs = {lab for lab in matrix.labels if lab is not None}
         completed, dropped = set(), set()
         for _ in range(m_rows + 2):
-            matrix, done, to_recall = complete_heads(matrix)
-            completed.update(done)
-            for job in to_recall:
+            # a head job with a 1 completed; one whose row is all zero is recalled
+            job, done = matrix.labels[0], matrix.rows[0]
+            matrix.rows[0], matrix.labels[0] = 0, None
+            if job is not None and done:
+                completed.add(job)
+            elif job is not None:
                 try:
-                    matrix = recall_job(matrix, job)
+                    _recall_job_inplace(matrix, column_loads(matrix), job)
                 except CapacityError:
                     dropped.add(job)
-            matrix = shift_up(matrix)
+            _shift_up_inplace(matrix)
             queued = {lab for lab in matrix.labels if lab is not None}
             states = [queued, completed, dropped]
             for a, b in itertools.combinations(states, 2):

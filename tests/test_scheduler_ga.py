@@ -19,16 +19,16 @@ from gasched import (
     make_fitness,
     optimize_schedule,
     random_genome,
-    rebalance_crossover,
     repair_rows,
     run,
     schedule_fitness,
 )
 from gasched import ga_core
 from gasched.errors import ConfigError, DimensionError
+from gasched.schedule_matrix import _rebalance_crossover_inplace
 from gasched.scheduler_ga import _polish, random_placement_genome, score
 
-from conftest import random_matrix
+from conftest import on_copy, random_matrix
 
 
 def fit_cfg(w=2, delta=0, **kwargs):
@@ -401,7 +401,7 @@ def test_polish_equals_rebalance_then_capacity_requeue_and_keeps_input(rng):
         before = matrix.copy()
         out, value = _polish(matrix, m, cfg)
         assert matrix == before
-        rebalanced, _ = rebalance_crossover(matrix, cfg.overload)
+        rebalanced, _ = on_copy(_rebalance_crossover_inplace, matrix, cfg.overload)
         assert out == capacity_requeue(rebalanced, m)
         assert value == schedule_fitness(out, cfg)
 

@@ -12,21 +12,22 @@ from gasched import (
     SimConfig,
     SimMetrics,
     column_loads,
-    complete_heads,
     dispatch,
     load_workload,
-    mutate_dropped_rows,
-    rebalance_crossover,
-    recall_job,
     run_sim,
     save_workload,
-    shift_up,
     tick,
     trace_csv,
 )
 from gasched import simulator
 from gasched.errors import CapacityError, ConfigError, StateError
 from gasched.ga_core import stream
+from gasched.schedule_matrix import (
+    _mutate_dropped_rows_inplace,
+    _rebalance_crossover_inplace,
+    _recall_job_inplace,
+    _shift_up_inplace,
+)
 from gasched.simulator import SimState
 
 
@@ -41,9 +42,22 @@ def paced_jobs(count, service=1, spacing=1):
 
 
 # --------------------------------------------------------- reference loop
-# The simulator loop as it was written over the pure operators, rebuilding
-# the matrix on every operator call: an independent statement of the
-# dynamics that run_sim, which edits one matrix in place, must reproduce.
+# The simulator loop as first written, with a completion step at the head
+# row and column loads recomputed from the matrix for every operator call:
+# an independent statement of the dynamics that run_sim, which retires jobs
+# from service and keeps its loads as run state, must reproduce.
+
+def _complete_head(matrix):
+    """Retire the head row. A head job with a 1 anywhere completed and
+    leaves for good; one whose row is all zero failed its send and is
+    returned for recall. Either way the head row ends empty."""
+    completed, to_recall = [], []
+    job = matrix.labels[0]
+    if job is not None:
+        (completed if matrix.rows[0] else to_recall).append(job)
+    matrix.rows[0], matrix.labels[0] = 0, None
+    return completed, to_recall
+
 
 def _reference_dispatch(state, arrivals, rng):
     q = state.cfg.send_failure_prob
@@ -73,7 +87,7 @@ def _reference_recalls(state, to_recall):
             state.dropped += 1
             continue
         try:
-            state.matrix = recall_job(state.matrix, job)
+            _recall_job_inplace(state.matrix, column_loads(state.matrix), job)
         except CapacityError:
             state.dropped += 1
         else:
@@ -90,14 +104,14 @@ def _reference_tick(state, rng):
             if state.remaining[j] == 0:
                 finishers.append(j)
     if state.matrix.labels[0] is not None and not state.matrix.head.any():
-        state.matrix, _, to_recall = complete_heads(state.matrix)
+        _, to_recall = _complete_head(state.matrix)
         _reference_recalls(state, to_recall)
     for j in finishers:
         job = state.in_service[j]
         state.in_service[j] = None
         state.matrix.labels[0] = job
         state.matrix.rows[0] |= 1 << j
-        state.matrix, done, _ = complete_heads(state.matrix)
+        done, _ = _complete_head(state.matrix)
         state.completed += len(done)
     if state.matrix.labels[0] is None and not state.matrix.head.any():
         blocked = False
@@ -105,7 +119,7 @@ def _reference_tick(state, rng):
             machine = int(state.matrix.body[0].argmax())
             blocked = state.remaining[machine] > 0
         if not blocked:
-            state.matrix = shift_up(state.matrix)
+            _shift_up_inplace(state.matrix)
             job = state.matrix.labels[0]
             if job is not None and state.matrix.head.any():
                 machine = int(state.matrix.head.argmax())
@@ -115,8 +129,8 @@ def _reference_tick(state, rng):
                 state.remaining[machine] = state.service_time[job]
     state.tick_count += 1
     if state.tick_count % cfg.rebalance_interval == 0:
-        state.matrix = mutate_dropped_rows(state.matrix, rng)
-        state.matrix, _ = rebalance_crossover(state.matrix, cfg.overload)
+        _mutate_dropped_rows_inplace(state.matrix, column_loads(state.matrix), rng)
+        _rebalance_crossover_inplace(state.matrix, column_loads(state.matrix), cfg.overload)
     loads = column_loads(state.matrix)
     mean_load = sum(loads) / cfg.k
     state.load_sum += mean_load
