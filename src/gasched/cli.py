@@ -9,6 +9,7 @@ be reproduced byte for byte.
 reads takes its default from that field, and each library config is built
 from the keys its fields name (``errors.checked``); only per-call values
 (a GA run's seed, the jobs and the nested configs) are passed by hand.
+Each library config is built once per call, in ``_validate``.
 
 Exit codes: 0 success, 1 GA-vs-oracle mismatch, 2 configuration error
 or a failed write to stdout (a reader that closed the pipe, say).
@@ -88,15 +89,6 @@ class RunConfig:
         taking that key's value, and the ``given`` fields as given."""
         return cls(**{name: getattr(self, key) for name, key, _ in keyed_fields(cls)} | given)
 
-    def ga_config(self, seed: int) -> GaConfig:
-        return self._build(GaConfig, rng_seed=seed)
-
-    def fitness_config(self) -> SchedulerFitnessConfig:
-        return self._build(SchedulerFitnessConfig, overload=self._build(OverloadConfig))
-
-    def sim_config(self) -> SimConfig:
-        return self._build(SimConfig, overload=self._build(OverloadConfig))
-
 
 _KEYS = [f for f in fields(RunConfig) if f.metadata]
 _KEY_TYPES: dict[str, type] = {f.name: str if f.default is None else type(f.default) for f in _KEYS}
@@ -127,14 +119,18 @@ def _coerce(key: str, value: Any, provenance: str) -> Any:
 
 def _validate(cfg: RunConfig) -> None:
     """Check the rules no library config owns, then build the library
-    configs, which check the rest, once per call: the command uses these
-    builds, kept on ``cfg`` outside its fields (``resolved()`` omits them)."""
+    configs, which check the rest, once per call: ``ga_cfg`` (seeded with
+    ``seed``), ``fitness_cfg`` and ``sim_cfg``, the last two sharing one
+    ``OverloadConfig``. The command uses these builds, kept on ``cfg``
+    outside its fields (``resolved()`` omits them)."""
     check_fields(cfg)
     last_seed = cfg.seed + (cfg.oracle_sweep - 1 if cfg.subcommand == "oracle-check" else 0)
     if last_seed >= 2**64:
         raise ConfigError("seed", f"the last seed used, {last_seed}, must be below 2**64")
-    cfg.ga_cfg, cfg.fitness_cfg, cfg.sim_cfg = (
-        cfg.ga_config(cfg.seed), cfg.fitness_config(), cfg.sim_config())
+    cfg.ga_cfg = cfg._build(GaConfig, rng_seed=cfg.seed)
+    overload = cfg._build(OverloadConfig)
+    cfg.fitness_cfg = cfg._build(SchedulerFitnessConfig, overload=overload)
+    cfg.sim_cfg = cfg._build(SimConfig, overload=overload)
 
 
 @functools.cache
@@ -231,14 +227,13 @@ def _load_jobs(cfg: RunConfig) -> list:
     return jobs
 
 
-def _make_problem(cfg: RunConfig, jobs, ga_cfg: GaConfig,
-                  fitness_cfg: SchedulerFitnessConfig) -> SchedulingProblem:
-    return cfg._build(SchedulingProblem, jobs=jobs, fitness_cfg=fitness_cfg, ga_cfg=ga_cfg)
+def _make_problem(cfg: RunConfig, jobs) -> SchedulingProblem:
+    return cfg._build(SchedulingProblem, jobs=jobs, fitness_cfg=cfg.fitness_cfg, ga_cfg=cfg.ga_cfg)
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
     jobs = _load_jobs(cfg)
-    result = optimize_schedule(_make_problem(cfg, jobs, cfg.ga_cfg, cfg.fitness_cfg))
+    result = optimize_schedule(_make_problem(cfg, jobs))
     _emit(
         {
             "best_fitness": result.fitness,
@@ -261,7 +256,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_oracle_check(cfg: RunConfig) -> int:
     jobs = _load_jobs(cfg)
     oracle = brute_force_best(len(jobs), cfg.machines, cfg.queue_depth, cfg.fitness_cfg)
-    problem = _make_problem(cfg, jobs, cfg.ga_cfg, cfg.fitness_cfg)
+    problem = _make_problem(cfg, jobs)
     # a run stops at the exact optimum, which no schedule beats, with the fitness of
     # a run without the floor; _validate checked the sweep's seeds lie below 2**64
     results = [optimize_schedule(problem._with_seed(seed), floor=oracle.optimum).fitness

@@ -19,17 +19,18 @@ length: bit ``i`` of the mask is position ``i`` of the genome (for a
 flattened job x machine body, position ``r*k + j``). Bits are validated
 once, at the boundary, when a caller builds ``Genome(bits)``; the
 operators here work on masks and build genomes through the trusted
-``Genome._from_mask``. :func:`crossover` and :func:`mutate` wrap mask
-cores that :func:`step_generation` calls directly: it builds one genome
-per child and scores it as it is bred, and elites keep their score.
+``Genome._from_mask``. :func:`step_generation` breeds each child on the
+mask cores of crossover and mutation, builds one genome per child and
+scores it as it is bred; elites keep their score. :func:`crossover` is
+the public genome form of its core.
 
 Bounded index draws (tournament entrants, random placements) use
 ``getrandbits`` with rejection, which is ``randrange``'s own rule, so
-runs stay reproducible draw for draw. :func:`mutate` flips each position
-with probability ``mutation_rate/2`` and draws about once per flip, not
-once per position: it walks the geometric gaps between flips, computed
-with ``math.log``, so bit-identical output across platforms also rests
-on the platform's ``log``.
+runs stay reproducible draw for draw. Mutation flips each position with
+probability ``mutation_rate/2`` and draws about once per flip, not once
+per position: it walks the geometric gaps between flips, computed with
+``math.log``, so bit-identical output across platforms also rests on the
+platform's ``log``.
 """
 
 from __future__ import annotations
@@ -148,9 +149,9 @@ class GaConfig:
 
     ``mutation_rate`` is the per-bit probability that a position is
     resampled to a fresh uniform bit, so each position flips with
-    probability ``mutation_rate/2``; :func:`mutate` draws about once per
-    flip. Stagnation halts the run once the best fitness has moved by at
-    most ``stagnation_tol`` over ``stagnation_window`` consecutive steps.
+    probability ``mutation_rate/2``; :func:`_flip_mask` draws about once
+    per flip. Stagnation halts the run once the best fitness has moved by
+    at most ``stagnation_tol`` over ``stagnation_window`` consecutive steps.
     The budget and stagnation are the two stopping rules set here; the
     third, :func:`run`'s ``floor``, comes from the fitness function, so
     it is not a config field.
@@ -188,14 +189,6 @@ def _scored(genome: Genome, fitness: FitnessFunction) -> Individual:
     if not math.isfinite(value):
         raise ValueError("fitness values must be finite")
     return Individual(genome, value)
-
-
-def evaluate(population: Population, fitness: FitnessFunction) -> Population:
-    """Return a population whose members all carry ``fitness(genome)``.
-
-    Genome order and content are untouched; only fitness values are set.
-    """
-    return Population._from_members([_scored(ind.genome, fitness) for ind in population.members])
 
 
 def _indices_below(rng: random.Random, n: int, count: int) -> list[int]:
@@ -266,8 +259,19 @@ def crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
 
 
 def _flip_mask(length: int, log_keep: float, rng: random.Random) -> int:
-    """The positions :func:`mutate` flips, as a mask, for
-    ``log_keep = log1p(-rate/2)``; 0 without a draw when that is 0.0."""
+    """The positions that mutation at ``rate`` flips in a ``length``-bit
+    genome, as a mask, for ``log_keep = log1p(-rate/2)``.
+
+    Mutation resamples each position to a fresh uniform bit with
+    probability ``rate``; a resampled position keeps its value half the
+    time, so each position flips independently with probability
+    ``p = rate/2``. The flip positions are walked directly: the gap before
+    the next flip is geometric, drawn by inversion as
+    ``floor(log(1 - U) / log1p(-p))`` from one ``rng.random()`` (Devroye
+    1986, *Non-Uniform Random Variate Generation*), so a call draws once
+    per flip plus once to end the walk, not once per position. 0 without a
+    draw when ``log_keep`` is 0.0.
+    """
     if log_keep == 0.0:  # rate 0, or rate/2 underflows: no position can flip
         return 0
     log = math.log
@@ -283,23 +287,6 @@ def _flip_mask(length: int, log_keep: float, rng: random.Random) -> int:
             flips |= 1 << i
     except OverflowError:  # an inf gap (a subnormal rate) ends the walk too
         return flips
-
-
-def mutate(genome: Genome, rate: float, rng: random.Random) -> Genome:
-    """Resample each position to a fresh uniform bit with probability ``rate``.
-
-    A resampled position keeps its value half the time, so each position
-    flips independently with probability ``p = rate/2``; length is
-    preserved. The flip positions are walked directly: the gap before the
-    next flip is geometric, drawn by inversion as
-    ``floor(log(1 - U) / log1p(-p))`` from one ``rng.random()`` (Devroye
-    1986, *Non-Uniform Random Variate Generation*), so a call draws once
-    per flip plus once to end the walk, not once per position.
-    """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("mutation rate must lie in [0, 1]")
-    flips = _flip_mask(genome.length, math.log1p(-rate / 2), rng)
-    return Genome._from_mask(genome.mask ^ flips, genome.length) if flips else genome
 
 
 def step_generation(
@@ -381,14 +368,13 @@ def run(
     members = []
     for _ in range(config.population_size):
         genome = initializer(init_rng)
-        # Population(members) below checks this too, but only once all are built
         if members and len(genome) != len(members[0].genome):
             raise DimensionError("all genomes in a population must share one length")
         member = _scored(genome, fitness)
         if floor is not None and member.fitness <= floor:
             return member, [member.fitness]
         members.append(member)
-    population = Population(members)
+    population = Population._from_members(members)
     evolve_rng = stream(config.rng_seed, "evolve")
     top = _best(population)
     best = Individual(top.genome, top.fitness)

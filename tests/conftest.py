@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from gasched import Genome, ScheduleMatrix, column_loads
 from gasched.errors import DimensionError
+from gasched.ga_core import _flip_mask
 
 
 def popcount_fitness(length):
@@ -16,6 +18,46 @@ def popcount_fitness(length):
         return float(sum(genome.bits))
 
     return fitness
+
+
+def flip_mask(length: int, rate: float, rng: random.Random) -> int:
+    """The mask of the positions that mutation at ``rate`` flips in a
+    ``length``-bit genome: ``_flip_mask`` with the ``log_keep`` that
+    ``step_generation`` passes it."""
+    return _flip_mask(length, math.log1p(-rate / 2), rng)
+
+
+# Crossover and mutation written over tuples of bits, one bit at a time: an
+# independent statement of what each operator computes and in which order it
+# draws from its RNG, shared by the draw-identity and genome-mask tests.
+
+def _ref_crossover(a, b, rng):
+    if a == b:
+        return a
+    mask = rng.getrandbits(len(a))
+    return tuple(
+        x if x == y else (x if (mask >> i) & 1 else y)
+        for i, (x, y) in enumerate(zip(a, b))
+    )
+
+
+def _ref_mutate(bits, rate, rng):
+    # each position flips with probability p = rate/2; the number of kept
+    # positions before the next flip is geometric, floor(log(1-U)/log(1-p))
+    if rate == 0.0:
+        return bits
+    log_keep = math.log1p(-rate / 2)
+    if log_keep == 0.0:
+        return bits
+    bits = list(bits)
+    pos = 0  # the first position the next flip may land on
+    while True:
+        skip = math.log(1.0 - rng.random()) / log_keep
+        if skip >= len(bits) - pos:
+            return tuple(bits)
+        pos += math.floor(skip)
+        bits[pos] = 1 - bits[pos]
+        pos += 1
 
 
 def on_copy(core, matrix: ScheduleMatrix, *args):

@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -296,24 +296,25 @@ def test_every_key_lands_on_its_library_field(tmp_path):
     assert cfg.resolved() == _EVERY_KEY
     ga = GaConfig(population_size=13, max_generations=12, crossover_rate=0.15,
                   mutation_rate=0.14, elite_count=4, stagnation_window=17, stagnation_tol=0.18,
-                  rng_seed=99)
+                  rng_seed=11)
     overload = OverloadConfig(w=3, delta=2)
     fitness = SchedulerFitnessConfig(overload=overload, drop_weight=23.0, overload_weight=0.24)
-    assert cfg.ga_config(99) == ga
-    assert cfg.fitness_config() == fitness
-    assert cfg.sim_config() == SimConfig(k=5, m=6, send_failure_prob=0.19, rebalance_interval=7,
-                                         horizon=21, max_recalls=8, overload=overload, seed=11)
+    assert cfg.ga_cfg == ga
+    assert cfg.fitness_cfg == fitness
+    assert cfg.sim_cfg == SimConfig(k=5, m=6, send_failure_prob=0.19, rebalance_interval=7,
+                                    horizon=21, max_recalls=8, overload=overload, seed=11)
+    assert cfg.sim_cfg.overload is cfg.fitness_cfg.overload  # built once
     jobs = [Job(0, 1, 0)]
-    assert _make_problem(cfg, jobs, cfg.ga_config(99), cfg.fitness_config()) == SchedulingProblem(
+    assert _make_problem(cfg, jobs) == SchedulingProblem(
         jobs=jobs, k=5, m=6, fitness_cfg=fitness, ga_cfg=ga)
 
 
 def test_default_keys_build_the_library_defaults():
     cfg = parse_config(["print-config"])
     overload = OverloadConfig(w=2, delta=1)
-    assert cfg.ga_config(cfg.seed) == GaConfig(population_size=40, max_generations=200)
-    assert cfg.fitness_config() == SchedulerFitnessConfig(overload=overload)
-    assert cfg.sim_config() == SimConfig(k=3, m=3, overload=overload)
+    assert cfg.ga_cfg == GaConfig(population_size=40, max_generations=200)
+    assert cfg.fitness_cfg == SchedulerFitnessConfig(overload=overload)
+    assert cfg.sim_cfg == SimConfig(k=3, m=3, overload=overload)
 
 
 @pytest.mark.parametrize("horizon", [10**6 + 1, 10**20], ids=["cap-plus-one", "1e20"])
@@ -615,9 +616,10 @@ def test_oracle_check_sweep_runs_optimize_at_each_seed(tmp_path, capsys):
 @pytest.mark.parametrize("sweep", [1, 5])
 def test_oracle_check_validates_each_library_object_once(tmp_path, capsys, monkeypatch, sweep):
     # the command runs on _validate's builds, and each seed of the sweep on a
-    # trusted copy of one validated problem
+    # trusted copy of one validated problem; the fitness and sim configs share
+    # one OverloadConfig
     calls = {}
-    for cls in (GaConfig, SchedulerFitnessConfig, SimConfig, SchedulingProblem):
+    for cls in (GaConfig, OverloadConfig, SchedulerFitnessConfig, SimConfig, SchedulingProblem):
         def counted(self, post_init=cls.__post_init__, name=cls.__name__):
             calls[name] = calls.get(name, 0) + 1
             post_init(self)
@@ -626,8 +628,8 @@ def test_oracle_check_validates_each_library_object_once(tmp_path, capsys, monke
     cfg_path = write_config(tmp_path, {"oracle_sweep": sweep, "population": 4})
     assert main(["oracle-check", "--config", cfg_path, "--workload", wl, "--w", "1"]) in (0, 1)
     assert len(json.loads(capsys.readouterr().out)["ga_sweep"]) == sweep
-    assert calls == {"GaConfig": 1, "SchedulerFitnessConfig": 1, "SimConfig": 1,
-                     "SchedulingProblem": 1}
+    assert calls == {"GaConfig": 1, "OverloadConfig": 1, "SchedulerFitnessConfig": 1,
+                     "SimConfig": 1, "SchedulingProblem": 1}
 
 
 def test_oracle_check_runs_each_seed_on_the_publicly_built_problem(tmp_path, capsys,
@@ -647,9 +649,10 @@ def test_oracle_check_runs_each_seed_on_the_publicly_built_problem(tmp_path, cap
     cfg = parse_config(argv)
     jobs = simulator.load_workload(wl)
     assert [p.ga_cfg.rng_seed for p in problems] == [7, 8, 9, 10]
-    assert [p.ga_cfg for p in problems] == [cfg.ga_config(seed) for seed in range(7, 11)]
-    assert problems == [_make_problem(cfg, jobs, cfg.ga_config(seed), cfg.fitness_config())
-                        for seed in range(7, 11)]
+    # replace() rebuilds each config through its public, validating constructor
+    ga_cfgs = [replace(cfg.ga_cfg, rng_seed=seed) for seed in range(7, 11)]
+    assert [p.ga_cfg for p in problems] == ga_cfgs
+    assert problems == [replace(_make_problem(cfg, jobs), ga_cfg=ga_cfg) for ga_cfg in ga_cfgs]
 
 
 def test_public_entries_still_reject_what_the_sweep_copies_trust(tmp_path, capsys):

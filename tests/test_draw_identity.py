@@ -5,19 +5,19 @@ it was written over ``rng.randrange`` and per-member tuple keys. They are
 kept here as an independent statement of which parents and elites are
 chosen and in which order the RNG is drawn; the loop must give the same
 members and leave the RNG in the same state. ``_ref_step_generation`` is
-the breeding loop as it was written over the public operators, scoring
-the whole next generation (elites too) with ``evaluate`` at the end.
+the breeding loop written over the tuple-of-bits references of crossover
+and mutation in ``conftest``, which share no code with the mask cores
+under test; it scores the whole next generation (elites too) at the end.
 """
 
 import random
 
 import pytest
 
-from gasched import (
-    GaConfig, Genome, Individual, Population, crossover, evaluate, mutate, select_parents,
-    step_generation,
-)
+from gasched import GaConfig, Genome, Individual, Population, select_parents, step_generation
 from gasched.ga_core import _best, _indices_below
+
+from conftest import _ref_crossover, _ref_mutate
 
 # powers of two and their neighbours change the rejection rate; 2**31 + 5
 # needs a 32-bit draw that is rejected about half the time
@@ -63,12 +63,12 @@ def _ref_step_generation(population, fitness, config, rng):
     children = []
     for a, b in selection.pairs:
         if rng.random() < config.crossover_rate:
-            child = crossover(a.genome, b.genome, rng)
+            child = _ref_crossover(a.genome.bits, b.genome.bits, rng)
         else:
-            child = a.genome if a.fitness <= b.fitness else b.genome
-        child = mutate(child, config.mutation_rate, rng)
-        children.append(Individual(child))
-    return evaluate(Population(selection.elites + children), fitness)
+            child = (a.genome if a.fitness <= b.fitness else b.genome).bits
+        children.append(Genome(_ref_mutate(child, config.mutation_rate, rng)))
+    genomes = [e.genome for e in selection.elites] + children
+    return Population([Individual(g, fitness(g)) for g in genomes])
 
 
 def _population(n, rng):
@@ -142,8 +142,8 @@ def test_step_generation_matches_operator_reference(n, elite_count, crossover_ra
         # a pool smaller than the population, so that equal parents meet
         pool = [Genome._from_mask(pool_rng.getrandbits(length), length)
                 for _ in range(n // 2 + 1)]
-        population = evaluate(Population([Individual(pool_rng.choice(pool)) for _ in range(n)]),
-                              _tied_fitness)
+        genomes = [pool_rng.choice(pool) for _ in range(n)]
+        population = Population([Individual(g, _tied_fitness(g)) for g in genomes])
         rng, ref_rng = random.Random(seed), random.Random(seed)
         got = step_generation(population, _tied_fitness, cfg, rng)
         expected = _ref_step_generation(population, _tied_fitness, cfg, ref_rng)

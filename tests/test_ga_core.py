@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,18 +11,18 @@ from gasched import (
     Individual,
     Population,
     crossover,
-    evaluate,
     has_converged,
-    mutate,
     random_genome,
     run,
     select_parents,
     step_generation,
 )
+import gasched
+from gasched import ga_core
 from gasched.errors import DimensionError, StateError
-from gasched.ga_core import stream
+from gasched.ga_core import _scored, stream
 
-from conftest import popcount_fitness
+from conftest import flip_mask, popcount_fitness
 
 # ten-bit parent pair whose agreement positions (0-based 1,2,3,5,7,8) must
 # always survive crossover, plus one known admissible child
@@ -33,6 +34,10 @@ KNOWN_CHILD = (0, 0, 1, 0, 1, 0, 0, 0, 1, 0)
 genomes = st.lists(st.integers(0, 1), min_size=1, max_size=40).map(
     lambda bits: Genome(tuple(bits))
 )
+
+
+def scored_population(genomes_, fitness):
+    return Population([Individual(g, fitness(g)) for g in genomes_])
 
 
 def make_population(bit_rows, fitnesses=None):
@@ -54,6 +59,21 @@ class ScriptedRng:
         return self.draws.pop(0)
 
 
+# -------------------------------------------------------- public surface
+
+def test_public_surface_resolves_and_keeps_one_form_per_operator():
+    assert len(set(gasched.__all__)) == len(gasched.__all__)
+    assert all(hasattr(gasched, name) for name in gasched.__all__)
+    namespace = {}
+    exec("from gasched import *", namespace)
+    assert set(gasched.__all__) <= namespace.keys()
+    # mutation and scoring exist once, as the cores step_generation runs
+    for name in ("mutate", "evaluate"):
+        assert name not in gasched.__all__
+        assert not hasattr(gasched, name)
+        assert not hasattr(ga_core, name)
+
+
 # ---------------------------------------------------------------- genome
 
 def test_genome_rejects_non_binary_and_empty():
@@ -70,40 +90,37 @@ def test_random_genome_length_and_determinism():
     assert g1 == g2
 
 
-# -------------------------------------------------------------- evaluate
+# ---------------------------------------------------------------- scoring
+# _scored is the one form of evaluation: run scores generation 0 with it,
+# and step_generation each child as it is bred
 
 def test_evaluate_all_zero_genomes():
-    pop = make_population([(0, 0, 0)] * 3)
-    out = evaluate(pop, popcount_fitness(3))
-    assert [ind.fitness for ind in out.members] == [0.0, 0.0, 0.0]
+    fitness = popcount_fitness(3)
+    assert [_scored(Genome((0, 0, 0)), fitness).fitness for _ in range(3)] == [0.0, 0.0, 0.0]
 
 
 def test_evaluate_counts_bits():
-    pop = make_population([(1, 1), (0, 1)])
-    out = evaluate(pop, popcount_fitness(2))
-    assert [ind.fitness for ind in out.members] == [2.0, 1.0]
+    fitness = popcount_fitness(2)
+    assert [_scored(Genome(bits), fitness).fitness for bits in [(1, 1), (0, 1)]] == [2.0, 1.0]
 
 
 def test_evaluate_min_matches_direct_scan(rng):
     genomes_ = [random_genome(20, rng) for _ in range(50)]
-    pop = Population([Individual(g) for g in genomes_])
-    out = evaluate(pop, popcount_fitness(20))
+    out = [_scored(g, popcount_fitness(20)) for g in genomes_]
     # independent oracle: linear scan of raw bit counts
     expected_min = min(sum(g.bits) for g in genomes_)
-    assert min(ind.fitness for ind in out.members) == expected_min
+    assert min(ind.fitness for ind in out) == expected_min
 
 
 def test_evaluate_preserves_order_and_genomes(rng):
     genomes_ = [random_genome(8, rng) for _ in range(10)]
-    pop = Population([Individual(g) for g in genomes_])
-    out = evaluate(pop, popcount_fitness(8))
-    assert [ind.genome for ind in out.members] == genomes_
+    out = [_scored(g, popcount_fitness(8)) for g in genomes_]
+    assert [ind.genome for ind in out] == genomes_
 
 
 def test_evaluate_propagates_dimension_error():
-    pop = make_population([(1, 0), (0, 0)])
     with pytest.raises(DimensionError):
-        evaluate(pop, popcount_fitness(3))
+        _scored(Genome((1, 0)), popcount_fitness(3))
 
 
 def test_unevaluated_individual_is_distinct_from_fitness_zero():
@@ -119,6 +136,8 @@ def test_public_population_constructor_still_validates():
 
 
 def test_run_validates_only_the_initial_population(monkeypatch):
+    # run checks each member's length as it builds generation 0, and every
+    # later generation comes from operators that keep length
     checks = []
     validate = Population.__post_init__
 
@@ -130,7 +149,7 @@ def test_run_validates_only_the_initial_population(monkeypatch):
     cfg = GaConfig(population_size=6, max_generations=5, stagnation_window=50)
     _, history = run(lambda r: random_genome(12, r), popcount_fitness(12), cfg)
     assert len(history) == 5
-    assert checks == [6]
+    assert checks == []
 
 
 # -------------------------------------------------------- select_parents
@@ -172,7 +191,7 @@ def test_select_parents_equal_fitness_reproducible():
 
 def test_select_parents_favors_fitter_individuals(rng):
     genomes_ = [random_genome(10, rng) for _ in range(20)]
-    pop = evaluate(Population([Individual(g) for g in genomes_]), popcount_fitness(10))
+    pop = scored_population(genomes_, popcount_fitness(10))
     cfg = GaConfig(population_size=20, max_generations=10, elite_count=0)
     members = pop.members
     best = min(range(20), key=lambda i: (members[i].fitness, i))
@@ -246,30 +265,26 @@ def test_crossover_idempotent_on_equal_parents(g, seed):
 
 
 # ---------------------------------------------------------------- mutate
+# mutation is the flip mask that step_generation XORs into each child
 
-def test_mutate_rate_zero_is_identity(rng):
-    g = random_genome(32, rng)
-    assert mutate(g, 0.0, random.Random(1)) == g
+def test_mutate_rate_zero_is_identity():
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert flip_mask(32, 0.0, rng) == 0
+    assert rng.getstate() == state  # and draws nothing
 
 
 def test_mutate_rate_one_resamples_uniformly():
-    g = Genome((0,) * 10000)
-    out = mutate(g, 1.0, random.Random(77))
-    ones = sum(out.bits)
+    ones = flip_mask(10000, 1.0, random.Random(77)).bit_count()
     assert abs(ones / 10000 - 0.5) <= 0.02
-
-
-def test_mutate_rejects_bad_rate():
-    with pytest.raises(ValueError):
-        mutate(Genome((0, 1)), 1.5, random.Random(0))
 
 
 def test_mutate_can_reproduce_a_specific_mask():
     # with resampling at rate 0.6 any target bit pattern has positive
     # probability; a bounded seed sweep must find this ten-bit one
-    target = (1, 1, 0, 0, 1, 1, 0, 0, 1, 1)
+    target = Genome((1, 1, 0, 0, 1, 1, 0, 0, 1, 1)).mask
     for seed in range(200000):
-        if mutate(PARENT_A, 0.6, random.Random(seed)).bits == target:
+        if PARENT_A.mask ^ flip_mask(10, 0.6, random.Random(seed)) == target:
             return
     pytest.fail("target mutation mask not reached in seed sweep")
 
@@ -279,7 +294,8 @@ def test_mutate_can_reproduce_a_specific_mask():
 @example(Genome((0, 1) * 20), 5e-324, 0)
 @example(Genome((0, 1) * 20), 1e-310, 0)
 def test_mutate_preserves_length(g, rate, seed):
-    assert len(mutate(g, rate, random.Random(seed))) == len(g)
+    # no flip lands past the last position
+    assert flip_mask(len(g), rate, random.Random(seed)) >> len(g) == 0
 
 
 @pytest.mark.parametrize("rate", (5e-324, 1e-310, 1e-300))
@@ -288,8 +304,7 @@ def test_mutate_at_the_smallest_rates_flips_nothing(length, rate):
     # at 5e-324 rate/2 underflows to 0; at 1e-310 the gap before the first
     # flip overflows a float; at 1e-300 it is finite but far past the end
     for seed in range(20):
-        g = random_genome(length, random.Random(seed))
-        assert mutate(g, rate, random.Random(seed)) is g
+        assert flip_mask(length, rate, random.Random(seed)) == 0
 
 
 # ------------------------------------------------------- step_generation
@@ -309,11 +324,24 @@ def test_step_generation_cloning_mode():
     )
     rng_ = random.Random(5)
     genomes_ = [random_genome(10, rng_) for _ in range(6)]
-    pop = evaluate(Population([Individual(g) for g in genomes_]), popcount_fitness(10))
+    pop = scored_population(genomes_, popcount_fitness(10))
     originals = {g.bits for g in genomes_}
     nxt = step_generation(pop, popcount_fitness(10), cfg, random.Random(8))
     # children are verbatim clones of existing members
     assert all(ind.genome.bits in originals for ind in nxt.members)
+
+
+def test_step_generation_rejects_an_edited_mutation_rate():
+    # GaConfig checks the rate when it is built; step_generation checks it
+    # again because a config may be edited later. Unchecked, 1.5 would run
+    # as flip probability 0.75, and -0.5 would fail later on a negative shift
+    genomes_ = [random_genome(10, random.Random(seed)) for seed in range(4)]
+    pop = scored_population(genomes_, popcount_fitness(10))
+    for rate in (1.5, -0.5, math.nan):
+        cfg = GaConfig(population_size=4, max_generations=10)
+        cfg.mutation_rate = rate
+        with pytest.raises(ValueError, match=r"mutation rate must lie in \[0, 1\]"):
+            step_generation(pop, popcount_fitness(10), cfg, random.Random(0))
 
 
 def test_step_generation_reaches_popcount_optimum():
@@ -460,10 +488,14 @@ def test_run_rejects_a_non_finite_fitness_on_the_first_member(floor):
 def test_run_rejects_mixed_lengths_before_the_member_at_the_floor(second):
     # the second genome is one bit longer; the third (and, in the second
     # case, the longer one itself) scores at the floor 0
-    genomes = iter([Genome((1, 1, 1)), Genome(second), Genome((0, 0, 0)), Genome((1, 1, 1))])
+    # with no floor, this per-member check is the only length check on
+    # generation 0
     cfg = GaConfig(population_size=4, max_generations=5)
-    with pytest.raises(DimensionError, match="share one length"):
-        run(lambda r: next(genomes), lambda g: float(sum(g.bits)), cfg, floor=0.0)
+    for floor in (0.0, None):
+        genomes = iter([Genome((1, 1, 1)), Genome(second), Genome((0, 0, 0)),
+                        Genome((1, 1, 1))])
+        with pytest.raises(DimensionError, match="share one length"):
+            run(lambda r: next(genomes), lambda g: float(sum(g.bits)), cfg, floor=floor)
 
 
 # ------------------------------------------------------ epsilon_good_set

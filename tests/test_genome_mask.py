@@ -1,13 +1,14 @@
 """A genome is an int bit mask: value semantics, and equivalence with the
 tuple-of-bits operators it replaced.
 
-The ``_ref_*`` functions below are the GA operators written over tuples
-of bits, one bit at a time. They are kept here as an independent
-statement of what each operator computes and in which order it draws
-from its RNG; the mask operators must give the same bits and leave the
-RNG in the same state after every call. ``_per_bit_mutate`` is the
-mutation rule the gap walk replaced; the distribution test holds both
-to the same flip frequencies.
+The ``_ref_*`` functions (here and in ``conftest``) are the GA operators
+written over tuples of bits, one bit at a time. They are kept as an
+independent statement of what each operator computes and in which order
+it draws from its RNG; the mask operators must give the same bits and
+leave the RNG in the same state after every call. Mutation is tested on
+its one form, the mask core ``_flip_mask``. ``_per_bit_mutate`` is the
+mutation rule the gap walk replaced; the distribution test holds both to
+the same flip frequencies.
 """
 
 import dataclasses
@@ -23,11 +24,12 @@ from gasched import (
     SchedulerFitnessConfig,
     crossover,
     make_fitness,
-    mutate,
     random_genome,
 )
 from gasched.errors import DimensionError
 from gasched.scheduler_ga import random_placement_genome, score
+
+from conftest import _ref_crossover, _ref_mutate, flip_mask
 
 # 1 and 2 are the smallest genomes; 29-31, 63-65 straddle the 30-bit
 # digits of CPython ints and a 64-bit machine word; 800 is optimize-large
@@ -41,35 +43,6 @@ SEEDS = range(100)
 def _ref_random_genome(length, rng):
     mask = rng.getrandbits(length)
     return tuple((mask >> i) & 1 for i in range(length))
-
-
-def _ref_crossover(a, b, rng):
-    if a == b:
-        return a
-    mask = rng.getrandbits(len(a))
-    return tuple(
-        x if x == y else (x if (mask >> i) & 1 else y)
-        for i, (x, y) in enumerate(zip(a, b))
-    )
-
-
-def _ref_mutate(bits, rate, rng):
-    # each position flips with probability p = rate/2; the number of kept
-    # positions before the next flip is geometric, floor(log(1-U)/log(1-p))
-    if rate == 0.0:
-        return bits
-    log_keep = math.log1p(-rate / 2)
-    if log_keep == 0.0:
-        return bits
-    bits = list(bits)
-    pos = 0  # the first position the next flip may land on
-    while True:
-        skip = math.log(1.0 - rng.random()) / log_keep
-        if skip >= len(bits) - pos:
-            return tuple(bits)
-        pos += math.floor(skip)
-        bits[pos] = 1 - bits[pos]
-        pos += 1
 
 
 def _per_bit_mutate(bits, rate, rng):
@@ -154,12 +127,12 @@ def test_mutate_matches_tuple_reference(length, rate):
         bits = _random_bits(length, (0.0, 0.5, 1.0)[seed % 3], genomes_rng)
         genome = Genome(bits)
         rng, ref_rng = _twin_rngs(seed)
-        out = mutate(genome, rate, rng)
+        flip = flip_mask(length, rate, rng)
         expected = _ref_mutate(bits, rate, ref_rng)
-        assert out.bits == expected
+        assert Genome._from_mask(genome.mask ^ flip, length).bits == expected
         assert rng.getstate() == ref_rng.getstate()
-        # an unchanged genome comes back as the same object
-        assert (out is genome) == (expected == bits)
+        # no flip exactly when the reference leaves the bits unchanged
+        assert (flip == 0) == (expected == bits)
 
 
 # 5e-324 halves to 0.0 (no draw); at 1e-320 and 1e-310 a gap is usually inf,
@@ -172,11 +145,11 @@ def test_mutate_matches_tuple_reference_at_edge_rates(length, rate):
         bits = _random_bits(length, 0.5, genomes_rng)
         genome = Genome(bits)
         rng, ref_rng = _twin_rngs(seed)
-        out = mutate(genome, rate, rng)
+        flip = flip_mask(length, rate, rng)
         expected = _ref_mutate(bits, rate, ref_rng)
-        assert out.bits == expected
+        assert Genome._from_mask(genome.mask ^ flip, length).bits == expected
         assert rng.getstate() == ref_rng.getstate()
-        assert (out is genome) == (expected == bits)
+        assert (flip == 0) == (expected == bits)
 
 
 @pytest.mark.parametrize("rate", (0.05, 0.6, 1.0))
@@ -195,7 +168,8 @@ def test_mutate_flips_each_position_with_half_the_rate(rule, length, rate):
     rng = random.Random(f"{length}/{rate}")
     genome = Genome(bits)
     if rule == "gap-walk":
-        rows = [mutate(genome, rate, rng).bits for _ in range(trials)]
+        rows = [Genome._from_mask(genome.mask ^ flip_mask(length, rate, rng), length).bits
+                for _ in range(trials)]
     else:
         rows = [_per_bit_mutate(bits, rate, rng) for _ in range(trials)]
     flips = np.array(rows) != np.array(bits)
