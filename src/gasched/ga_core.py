@@ -143,7 +143,7 @@ class Population:
         return len(self.members)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaConfig:
     """Knobs for one GA run.
 
@@ -305,8 +305,6 @@ def step_generation(
     if population.size != config.population_size:
         raise ValueError("population size does not match config.population_size")
     selection = select_parents(population, config, rng)
-    if not 0.0 <= config.mutation_rate <= 1.0:  # the config may be edited after it is built
-        raise ValueError("mutation rate must lie in [0, 1]")
     log_keep = math.log1p(-config.mutation_rate / 2)
     length = population.members[0].genome.length
     draw = rng.random

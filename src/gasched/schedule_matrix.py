@@ -12,7 +12,9 @@ there for one tick before ``_recall_job_inplace`` puts it back in the queue.
 
 Row i is stored as ``rows[i]``, a k-bit ``int`` mask with bit j set for
 a 1 at machine j + 1 (the layout of a genome's job row), beside its label
-``labels[i]``. Machine indices are 1-based on the public surface. The
+``labels[i]``. The constructor takes these masks; 0/1 rows come in only
+through a text snapshot (:func:`from_text`), which packs them. Machine
+indices are 1-based on the public surface. The
 ``head`` and ``body`` properties build read-only int8 numpy arrays of the
 rows on each access; no operator reads them, and numpy is imported only
 there, so importing the package (and the CLI) does not load it.
@@ -31,7 +33,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 from .errors import (
     CapacityError, ConfigError, DimensionError, StateError, at_least, check_fields, checked,
@@ -39,45 +41,30 @@ from .errors import (
 
 JobId = int
 
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
-
-@dataclass(init=False)
+@dataclass
 class ScheduleMatrix:
-    """``ScheduleMatrix(m, k, head, body, labels)`` validates: ``head`` holds
-    ``k`` entries and ``body`` ``m`` such rows, each entry an integer (Python
-    or numpy) equal to 0 or 1, and the ``m + 1`` labels no job id twice."""
+    """``ScheduleMatrix(m, k, rows, labels)`` validates the parts it stores:
+    ``m, k >= 1``, ``m + 1`` row masks, each an ``int`` (not a ``bool``) with
+    ``0 <= row < 2**k``, and ``m + 1`` labels, no job id twice. A wrong
+    count, or a mask outside that range, is a DimensionError."""
 
     m: int
     k: int
     rows: list[int]
     labels: list[JobId | None]
 
-    def __init__(self, m: int, k: int, head, body, labels: list[JobId | None]):
-        # rows holds the 0/1 rows as given until __post_init__ checks and packs them
-        self.m, self.k, self.rows, self.labels = m, k, [head, *body], labels
-        self.__post_init__()
-
     def __post_init__(self):
         m, k = self.m, self.k
         if m < 1 or k < 1:
             raise DimensionError("matrix needs m >= 1 queue rows and k >= 1 machines")
-        head, *body = self.rows
-        if len(head) != k:
-            raise DimensionError(f"head row must have shape ({k},)")
-        if len(body) != m or any(len(row) != k for row in body):
-            raise DimensionError(f"body must have shape ({m}, {k})")
-        try:
-            # one byte per entry; raises unless every entry is an integer in 0..255
-            entries = bytes(chain.from_iterable(self.rows))
-        except (TypeError, ValueError):
-            raise ValueError("matrix entries must be 0 or 1") from None
-        if entries.translate(None, b"\x00\x01"):
-            raise ValueError("matrix entries must be 0 or 1")
-        # entry j is bit j, so a row's reversed 0/1 string is its mask in
-        # binary; reversed whole, the digits list the last row first
-        digits = entries[::-1].translate(_BIT_CHARS)
-        self.rows = [int(digits[i - k:i], 2) for i in range(len(digits), 0, -k)]
+        if len(self.rows) != m + 1:
+            raise DimensionError("rows must hold one mask per row (m + 1 total)")
+        if any(type(row) is not int for row in self.rows):
+            raise ValueError("row masks must be ints")
+        # a row wider than k sets a bit at k or above, as every negative mask does
+        if any(row >> k for row in self.rows):
+            raise DimensionError(f"row masks must lie in [0, 2**{k})")
         if len(self.labels) != m + 1:
             raise DimensionError("labels must hold one entry per row (m + 1 total)")
         present = [lab for lab in self.labels if lab is not None]
@@ -94,7 +81,7 @@ class ScheduleMatrix:
 
     @classmethod
     def empty(cls, m: int, k: int) -> "ScheduleMatrix":
-        return cls(m, k, [0] * k, [[0] * k] * m, [None] * (m + 1))
+        return cls(m, k, [0] * (m + 1), [None] * (m + 1))
 
     def copy(self) -> "ScheduleMatrix":
         # the parts of a valid matrix are valid
@@ -272,7 +259,8 @@ def to_text(matrix: ScheduleMatrix) -> str:
 
 
 def from_text(text: str) -> ScheduleMatrix:
-    """Inverse of :func:`to_text`; round-trips bit-exactly."""
+    """Inverse of :func:`to_text`; round-trips bit-exactly. A row of the
+    wrong length is a DimensionError, an entry other than 0 or 1 a ValueError."""
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) < 3:
         raise ValueError("matrix snapshot is truncated")
@@ -281,4 +269,9 @@ def from_text(text: str) -> ScheduleMatrix:
         raise ValueError("matrix snapshot has the wrong number of lines")
     rows = [[int(x) for x in lines[1 + i].split()] for i in range(m + 1)]
     labels = [None if tok == "-" else int(tok) for tok in lines[m + 2].split(",")]
-    return ScheduleMatrix(m, k, rows[0], rows[1:], labels)
+    if any(len(row) != k for row in rows):
+        raise DimensionError(f"each matrix row must hold {k} entries")
+    if any(x not in (0, 1) for row in rows for x in row):
+        raise ValueError("matrix entries must be 0 or 1")
+    masks = [sum(x << j for j, x in enumerate(row)) for row in rows]  # entry j is bit j
+    return ScheduleMatrix(m, k, masks, labels)

@@ -42,7 +42,7 @@ if TYPE_CHECKING:
 _FINITE = (math.isfinite, "must be finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchedulerFitnessConfig:
     """Weights of the scalar objective; dropped jobs must dominate."""
 
@@ -63,7 +63,7 @@ class SchedulerFitnessConfig:
             raise ConfigError("overload_weight", f"{k} overloaded machines could score inf")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchedulingProblem:
     jobs: Sequence["Job"]
     k: int = checked(key="machines")

@@ -60,7 +60,7 @@ class Job:
             raise ConfigError("workload", "arrival must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     k: int = checked(key="machines")
     m: int = checked(key="queue_depth")
@@ -75,7 +75,7 @@ class SimConfig:
         check_fields(self)
         check_shape(self.k, self.m, self.overload)
         if self.overload is None:
-            self.overload = OverloadConfig(w=self.m, delta=self.k)
+            object.__setattr__(self, "overload", OverloadConfig(w=self.m, delta=self.k))
 
 
 @dataclass

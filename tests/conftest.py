@@ -71,13 +71,19 @@ def random_matrix(rng: random.Random, m: int, k: int, density: float = 0.4,
                   labeled: bool = False) -> ScheduleMatrix:
     """Random binary matrix; with labeled=True every nonzero row gets a
     job label (plus occasional labeled all-zero rows)."""
-    return ScheduleMatrix(m, k, *random_parts(rng, m, k, density, labeled))
+    head, body, labels = random_parts(rng, m, k, density, labeled)
+    return ScheduleMatrix(m, k, [pack(row) for row in (head, *body)], labels)
+
+
+def pack(row) -> int:
+    """The k-bit mask of a 0/1 row: entry j is bit j."""
+    return sum(int(b) << j for j, b in enumerate(row))
 
 
 def random_parts(rng: random.Random, m: int, k: int, density: float = 0.4,
                  labeled: bool = False):
-    """The (head, body, labels) constructor arguments of random_matrix:
-    int8 arrays of shapes (k,) and (m, k), and m + 1 labels."""
+    """The dense (head, body, labels) of random_matrix: int8 arrays of
+    shapes (k,) and (m, k), and m + 1 labels."""
     head = np.array([1 if rng.random() < density else 0 for _ in range(k)], dtype=np.int8)
     body = np.array(
         [[1 if rng.random() < density else 0 for _ in range(k)] for _ in range(m)],

@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -275,6 +275,30 @@ def test_library_config_error_names_cli_key(build, key):
     assert isinstance(err.value, ConfigError)
     assert err.value.key == key
     assert str(err.value).startswith(f"{key}: ")
+
+
+# an edit after the build would skip the checks above: a population of 1
+# would evolve one member, and a rebalance_interval of 0 would end run_sim in
+# a ZeroDivisionError
+_EDITS = [
+    ("GaConfig", lambda: GaConfig(population_size=4, max_generations=10),
+     "population_size", 1),
+    ("SchedulerFitnessConfig", _fit, "drop_weight", 0.0),
+    ("SchedulingProblem", lambda: SchedulingProblem(
+        jobs=[Job(0, 1, 0)], k=2, m=2, fitness_cfg=_fit(),
+        ga_cfg=GaConfig(population_size=4, max_generations=10)), "k", 0),
+    ("SimConfig", lambda: SimConfig(k=3, m=3), "rebalance_interval", 0),
+]
+
+
+@pytest.mark.parametrize("build, name, value", [case[1:] for case in _EDITS],
+                         ids=[case[0] for case in _EDITS])
+def test_library_configs_are_frozen(build, name, value):
+    cfg = build()
+    before = getattr(cfg, name)
+    with pytest.raises(FrozenInstanceError):
+        setattr(cfg, name, value)
+    assert getattr(cfg, name) == before
 
 
 # every key set apart from its default and from every other key's value

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -332,16 +333,13 @@ def test_step_generation_cloning_mode():
 
 
 def test_step_generation_rejects_an_edited_mutation_rate():
-    # GaConfig checks the rate when it is built; step_generation checks it
-    # again because a config may be edited later. Unchecked, 1.5 would run
-    # as flip probability 0.75, and -0.5 would fail later on a negative shift
-    genomes_ = [random_genome(10, random.Random(seed)) for seed in range(4)]
-    pop = scored_population(genomes_, popcount_fitness(10))
+    # GaConfig checks the rate when it is built and is frozen, so no rate that
+    # step_generation reads can lie outside [0, 1]
+    cfg = GaConfig(population_size=4, max_generations=10)
     for rate in (1.5, -0.5, math.nan):
-        cfg = GaConfig(population_size=4, max_generations=10)
-        cfg.mutation_rate = rate
-        with pytest.raises(ValueError, match=r"mutation rate must lie in \[0, 1\]"):
-            step_generation(pop, popcount_fitness(10), cfg, random.Random(0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.mutation_rate = rate
+    assert cfg.mutation_rate == 0.05
 
 
 def test_step_generation_reaches_popcount_optimum():

@@ -36,7 +36,7 @@ from gasched.schedule_matrix import (
     _shift_up_inplace,
 )
 
-from conftest import on_copy, random_matrix, random_parts
+from conftest import on_copy, pack, random_matrix, random_parts
 
 
 def nilpotent_shift(m: int) -> np.ndarray:
@@ -54,7 +54,7 @@ def matrix_from_body(body, labels=None, head=None):
         head = np.zeros(k, dtype=np.int8)
     if labels is None:
         labels = [None] * (m + 1)
-    return ScheduleMatrix(m, k, np.array(head, dtype=np.int8), body, labels)
+    return ScheduleMatrix(m, k, [pack(row) for row in (head, *body)], labels)
 
 
 # ------------------------------------------------------------ construction
@@ -62,24 +62,39 @@ def matrix_from_body(body, labels=None, head=None):
 @pytest.mark.parametrize("value", [-1, 2, 127])
 @pytest.mark.parametrize("where", ["head", "body"])
 def test_construction_rejects_entries_other_than_zero_and_one(value, where):
-    head = np.zeros(3, dtype=np.int8)
-    body = np.zeros((2, 3), dtype=np.int8)
-    if where == "head":
-        head[1] = value
-    else:
-        body[1, 2] = value
+    # 0/1 entries reach a matrix only through a snapshot; the constructor takes masks
+    rows = [["0"] * 3 for _ in range(3)]
+    rows[0 if where == "head" else 2][1] = str(value)
+    text = "2 3\n" + "".join(" ".join(row) + "\n" for row in rows) + "-,-,-\n"
     with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
-        ScheduleMatrix(2, 3, head, body, [None] * 3)
+        from_text(text)
 
 
-@pytest.mark.parametrize("head, body", [
-    ([0, 0], [[0, 0, 0], [0, 0, 0]]),  # head too short
-    ([0, 0, 0], [[0, 0, 0]]),  # one body row missing
-    ([0, 0, 0], [[0, 0, 0], [0, 0]]),  # ragged body
+@pytest.mark.parametrize("rows", [
+    pytest.param([0, 0, 0, 0], id="extra-row"),
+    pytest.param([0, 0], id="missing-row"),
+    pytest.param([0, 0, 0b1000], id="row-wider-than-k"),  # k = 3
+    pytest.param([-1, 0, 0], id="negative-mask"),  # sets every bit above k
 ])
-def test_construction_rejects_rows_of_the_wrong_shape(head, body):
+def test_construction_rejects_rows_of_the_wrong_shape(rows):
     with pytest.raises(DimensionError):
-        ScheduleMatrix(2, 3, head, body, [None] * 3)
+        ScheduleMatrix(2, 3, rows, [None] * 3)
+
+
+@pytest.mark.parametrize("mask", [True, 1.0, np.int64(1)], ids=["bool", "float", "numpy-int"])
+def test_construction_rejects_masks_that_are_not_ints(mask):
+    with pytest.raises(ValueError, match="row masks must be ints"):
+        ScheduleMatrix(2, 3, [0, mask, 0], [None] * 3)
+
+
+@pytest.mark.parametrize("labels, error", [
+    ([None] * 2, DimensionError),  # one label missing
+    ([None] * 4, DimensionError),  # one label too many
+    ([None, 4, 4], ValueError),  # a job id twice
+])
+def test_construction_rejects_bad_labels(labels, error):
+    with pytest.raises(error):
+        ScheduleMatrix(2, 3, [0, 0, 0], labels)
 
 
 def test_rows_are_k_bit_masks_indexed_like_labels():
@@ -95,7 +110,7 @@ def test_array_views_equal_the_constructor_input_and_are_read_only(rng):
         # k up to 70: rows wider than one 64-bit machine word
         m, k = rng.randint(1, 6), rng.randint(1, 70)
         head, body, labels = random_parts(rng, m, k, labeled=True)
-        matrix = ScheduleMatrix(m, k, head, body, labels)
+        matrix = ScheduleMatrix(m, k, [pack(row) for row in (head, *body)], labels)
         assert matrix.head.dtype == matrix.body.dtype == np.int8
         assert matrix.head.shape == (k,) and matrix.body.shape == (m, k)
         assert (matrix.head == head).all() and (matrix.body == body).all()
@@ -548,6 +563,18 @@ def test_text_snapshot_shape():
     text = to_text(m)
     assert text.splitlines()[0] == "2 2"
     assert text.splitlines()[-1] == "-,3,-"
+
+
+@pytest.mark.parametrize("text, error, match", [
+    ("1 2\n0 0\n", ValueError, "truncated"),
+    ("1 2\n0 0\n0 0\n0 0\n-,-\n", ValueError, "wrong number of lines"),
+    ("1 2\n0 0\n0\n-,-\n", DimensionError, None),  # a short row
+    ("1 2\n0 0 1\n0 0\n-,-\n", DimensionError, None),  # a long row
+    ("1 2\n0 0\n0 1\n3,3\n", ValueError, "job labels must be unique"),
+])
+def test_from_text_rejects_malformed_snapshots(text, error, match):
+    with pytest.raises(error, match=match):
+        from_text(text)
 
 
 # ------------------------------------------------------- job conservation

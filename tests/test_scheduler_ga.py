@@ -28,7 +28,7 @@ from gasched.errors import ConfigError, DimensionError
 from gasched.schedule_matrix import _rebalance_crossover_inplace
 from gasched.scheduler_ga import _polish, random_placement_genome, score
 
-from conftest import on_copy, random_matrix
+from conftest import on_copy, pack, random_matrix
 
 
 def fit_cfg(w=2, delta=0, **kwargs):
@@ -161,7 +161,7 @@ def two_step_decode(genome, job_ids, k, m):
     job_count = len(job_ids)
     body = np.array(genome.bits, dtype=np.int8).reshape(job_count, k)
     matrix = repair_rows(
-        ScheduleMatrix(job_count, k, np.zeros(k, dtype=np.int8), body, [None, *job_ids])
+        ScheduleMatrix(job_count, k, [0, *map(pack, body)], [None, *job_ids])
     )
     for j in range(k):
         for r in np.flatnonzero(matrix.body[:, j])[m:]:
@@ -379,8 +379,8 @@ def capacity_requeue(matrix, m):
 
 
 def test_polish_requeue_respects_queue_depth():
-    body = [[1, 0], [1, 0], [0, 0], [0, 0]]
-    matrix = ScheduleMatrix(4, 2, [0, 0], body, [None, 1, 2, 3, 4])
+    # two jobs queued at machine 1, two dropped
+    matrix = ScheduleMatrix(4, 2, [0, 0b01, 0b01, 0, 0], [None, 1, 2, 3, 4])
     out, value = _polish(matrix, 2, fit_cfg(w=2))
     assert column_loads(out) == [2, 2]
     assert out.dropped_rows() == [] and value == 0.0  # room existed in column 2
@@ -407,9 +407,8 @@ def test_polish_equals_rebalance_then_capacity_requeue_and_keeps_input(rng):
 
 
 def validated_rebuild(matrix):
-    return ScheduleMatrix(
-        matrix.m, matrix.k, matrix.head.copy(), matrix.body.copy(), list(matrix.labels)
-    )
+    rows = [pack(row) for row in (matrix.head, *matrix.body)]
+    return ScheduleMatrix(matrix.m, matrix.k, rows, list(matrix.labels))
 
 
 def test_decode_and_polish_build_matrices_the_validating_constructor_accepts(rng):
