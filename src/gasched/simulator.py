@@ -17,11 +17,16 @@ no further ``ScheduleMatrix``. The per-machine column loads are run state
 too, kept in step with the matrix and audited against it every
 ``rebalance_interval`` ticks (see :class:`SimState`).
 
+Service completions are events, not countdowns: when a job enters
+service its machine is filed under the tick its service ends, and that
+tick retires it, so a completion costs O(1) whatever k is.
+
 A job is always in exactly one place - queued (labeled matrix row), in
 service, completed, or dropped - and the simulation checks that
 conservation law after every tick by one scan of the row labels. So a tick
-costs O(k) bookkeeping plus that O(m) scan; an interval tick adds the O(m)
-``column_loads`` audit and the periodic pass.
+costs that O(m) scan plus built-in sums over the k loads and service
+slots; an interval tick adds the O(m) ``column_loads`` audit and the
+periodic pass.
 """
 
 from __future__ import annotations
@@ -93,6 +98,11 @@ class SimMetrics:
 class SimState:
     """Mutable run state; owned by one simulation loop.
 
+    ``in_service[j]`` is the job machine j is serving, or ``None``;
+    ``finishing[t]`` lists the machines whose job ends at the start of
+    tick t, filed when the job enters service. The fields are
+    ``__slots__``, so assigning a misspelt one raises ``AttributeError``.
+
     ``loads[j]`` is the number of queued jobs waiting at machine j, that
     is the body column loads of ``matrix``. It is kept in step by
     ``dispatch`` (+1 per successful send) and ``tick`` (-1 when the shift
@@ -103,12 +113,19 @@ class SimState:
     ``dispatch`` and ``tick``.
     """
 
+    __slots__ = (
+        "cfg", "tick_count", "matrix", "loads", "finishing", "in_service",
+        "service_time", "recall_counts", "arrived", "completed", "dropped",
+        "recalled", "send_failures", "load_sum", "max_load", "overload_ticks",
+        "trace",
+    )
+
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.tick_count = 0
         self.matrix = ScheduleMatrix.empty(cfg.m, cfg.k)
         self.loads = [0] * cfg.k
-        self.remaining = [0] * cfg.k
+        self.finishing: dict[int, list[int]] = {}
         self.in_service: list[int | None] = [None] * cfg.k
         self.service_time: dict[int, int] = {}
         self.recall_counts: dict[int, int] = {}
@@ -146,7 +163,9 @@ def dispatch(state: SimState, arrivals: list[Job], rng: random.Random) -> SimSta
     tallies scale with the failure probability regardless of queue
     state). A successful send puts a 1 in the deepest free row of the
     least-loaded machine's column; a failed send occupies the row with
-    no 1 at all. Arrivals finding no free row are dropped.
+    no 1 at all. Arrivals finding no free row are dropped. A job id
+    seen before raises ``ConfigError`` naming ``workload``, before that
+    arrival changes the state.
     """
     q = state.cfg.send_failure_prob
     matrix = state.matrix
@@ -156,6 +175,8 @@ def dispatch(state: SimState, arrivals: list[Job], rng: random.Random) -> SimSta
     # dispatch, so the scan from the end never goes back down
     slot = matrix.m
     for job in arrivals:
+        if job.id in state.service_time:
+            raise ConfigError("workload", f"job id {job.id} was already dispatched")
         state.arrived += 1
         state.service_time[job.id] = job.service_time
         failed = rng.random() < q
@@ -191,11 +212,12 @@ def _recall(state: SimState, job: int) -> None:
 def tick(state: SimState, rng: random.Random) -> SimState:
     """Advance the simulation by one time step.
 
-    Order: service countdown, where a machine whose job finishes
-    retires it straight from service; recall handling for a failed job
-    sitting in the head row (the recall slot); one queue shift (skipped
-    while the incoming job's machine is still busy) with service intake
-    for the job it moves into the head row; then, every
+    Order: the machines filed under this tick in ``state.finishing``
+    retire their jobs straight from service; recall handling for a
+    failed job sitting in the head row (the recall slot); one queue shift
+    (skipped while the incoming job's machine is still busy) with service
+    intake for the job it moves into the head row, which files its
+    machine under the tick its service ends; then, every
     ``rebalance_interval`` ticks, one ``column_loads`` sum that audits
     ``state.loads``, feeds the periodic mutation + rebalance pass and
     becomes the new ``state.loads``; then bookkeeping.
@@ -203,14 +225,13 @@ def tick(state: SimState, rng: random.Random) -> SimState:
     cfg = state.cfg
     matrix = state.matrix
     rows, labels = matrix.rows, matrix.labels
-    remaining, in_service = state.remaining, state.in_service
+    in_service = state.in_service
 
-    for j, left in enumerate(remaining):
-        if left > 0:
-            remaining[j] = left - 1
-            if left == 1:
-                in_service[j] = None
-                state.completed += 1
+    done = state.finishing.pop(state.tick_count, None)
+    if done is not None:
+        for j in done:
+            in_service[j] = None
+        state.completed += len(done)
 
     # A head row is all zero when a tick starts: the shift below clears the
     # row of a job it moves into service, and a failed send's row has no 1.
@@ -225,7 +246,7 @@ def tick(state: SimState, rng: random.Random) -> SimState:
     row = rows[1]
     machine = (row & -row).bit_length() - 1  # the row's leftmost 1
     queued = labels[1] is not None and row != 0
-    if not (queued and remaining[machine] > 0):
+    if not (queued and in_service[machine] is not None):
         _shift_up_inplace(matrix)
         if queued:  # the job shifted into the head row goes into service
             job = labels[0]
@@ -233,7 +254,8 @@ def tick(state: SimState, rng: random.Random) -> SimState:
             rows[0] = 0
             labels[0] = None
             in_service[machine] = job
-            remaining[machine] = state.service_time[job]
+            due = state.tick_count + state.service_time[job]
+            state.finishing.setdefault(due, []).append(machine)
 
     state.tick_count += 1
     if state.tick_count % cfg.rebalance_interval == 0:
@@ -277,7 +299,9 @@ def run_sim(config: SimConfig, workload: list[Job]) -> SimMetrics:
     tick_rng = stream(config.seed, "tick")
     state = SimState(config)
     for t in range(config.horizon):
-        dispatch(state, by_tick.get(t, []), dispatch_rng)
+        arrivals = by_tick.get(t)
+        if arrivals:  # a dispatch without arrivals draws nothing and changes nothing
+            dispatch(state, arrivals, dispatch_rng)
         tick(state, tick_rng)
 
     return SimMetrics(

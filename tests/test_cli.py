@@ -54,6 +54,12 @@ def test_readme_key_table_matches_run_config():
     assert rows == declared
 
 
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    exec(compile(example, "README.md", "exec"), {})
+
+
 def test_defaults_resolve_without_input():
     cfg = parse_config(["print-config"])
     assert cfg.seed == 0

@@ -95,13 +95,13 @@ def _reference_recalls(state, to_recall):
             state.recalled += 1
 
 
-def _reference_tick(state, rng):
+def _reference_tick(state, rng, remaining):
     cfg = state.cfg
     finishers = []
     for j in range(cfg.k):
-        if state.remaining[j] > 0:
-            state.remaining[j] -= 1
-            if state.remaining[j] == 0:
+        if remaining[j] > 0:
+            remaining[j] -= 1
+            if remaining[j] == 0:
                 finishers.append(j)
     if state.matrix.labels[0] is not None and not state.matrix.head.any():
         _, to_recall = _complete_head(state.matrix)
@@ -117,7 +117,7 @@ def _reference_tick(state, rng):
         blocked = False
         if state.matrix.labels[1] is not None and state.matrix.body[0].any():
             machine = int(state.matrix.body[0].argmax())
-            blocked = state.remaining[machine] > 0
+            blocked = remaining[machine] > 0
         if not blocked:
             _shift_up_inplace(state.matrix)
             job = state.matrix.labels[0]
@@ -126,7 +126,7 @@ def _reference_tick(state, rng):
                 state.matrix.rows[0] = 0
                 state.matrix.labels[0] = None
                 state.in_service[machine] = job
-                state.remaining[machine] = state.service_time[job]
+                remaining[machine] = state.service_time[job]
     state.tick_count += 1
     if state.tick_count % cfg.rebalance_interval == 0:
         _mutate_dropped_rows_inplace(state.matrix, column_loads(state.matrix), rng)
@@ -149,9 +149,10 @@ def _reference_run_sim(config, workload):
     dispatch_rng = stream(config.seed, "dispatch")
     tick_rng = stream(config.seed, "tick")
     state = SimState(config)
+    remaining = [0] * config.k  # ticks of service left on each machine
     for t in range(config.horizon):
         _reference_dispatch(state, by_tick.get(t, []), dispatch_rng)
-        _reference_tick(state, tick_rng)
+        _reference_tick(state, tick_rng, remaining)
     return SimMetrics(
         completed=state.completed,
         dropped=state.dropped,
@@ -213,6 +214,21 @@ def test_dispatch_drops_overflow_beyond_capacity():
     state.check_conservation()
 
 
+def test_dispatch_rejects_a_job_id_it_has_seen():
+    # a repeated id would label two rows alike and take the second job's
+    # service time for the first
+    state = SimState(sim_cfg(k=2, m=4))
+    with pytest.raises(ConfigError, match=r"^workload: job id 7 "):
+        dispatch(state, [Job(7, 1, 0), Job(7, 5, 0)], random.Random(0))
+    assert state.matrix.labels == [None, None, None, None, 7]
+    assert state.service_time == {7: 1}
+    assert state.arrived == 1
+    state.check_conservation()
+    with pytest.raises(ConfigError, match="job id 7 "):
+        dispatch(state, [Job(7, 2, 1)], random.Random(0))
+    state.check_conservation()
+
+
 # ---------------------------------------------------------------------- tick
 
 def test_tick_completes_job_whose_service_ends():
@@ -220,10 +236,16 @@ def test_tick_completes_job_whose_service_ends():
     state.arrived = 1
     state.service_time[0] = 1
     state.in_service[0] = 0
-    state.remaining[0] = 1
+    state.finishing[0] = [0]
     tick(state, random.Random(0))
     assert state.completed == 1
     assert state.in_service[0] is None
+
+
+def test_sim_state_rejects_a_field_it_does_not_declare():
+    state = SimState(sim_cfg())
+    with pytest.raises(AttributeError):
+        state.remaining = [0, 0]
 
 
 def test_tick_on_empty_state_only_advances_counter():
@@ -348,24 +370,33 @@ def test_run_sim_matches_reference_loop(k, m):
         assert run_sim(cfg, jobs) == _reference_run_sim(cfg, jobs), (q, interval, max_recalls)
 
 
-def stream_jobs(seed, horizon):
+def stream_jobs(seed, horizon, max_service=2):
     """One arrival a tick on average, service times 1-2: the job streams
-    of the sim-stream benchmark workload."""
+    of the sim-stream benchmark workload. A larger ``max_service`` draws
+    service times up to it instead."""
     rng = random.Random(seed)
     jobs = []
     for t in range(horizon):
         for _ in range(rng.choice((0, 1, 1, 2))):
-            jobs.append(Job(len(jobs), rng.randint(1, 2), t))
+            jobs.append(Job(len(jobs), rng.randint(1, max_service), t))
     return jobs
 
 
-@pytest.mark.parametrize("k,m", [(3, 6), (16, 256), (70, 8)])
-def test_run_sim_matches_reference_loop_at_benchmark_shapes(k, m):
+@pytest.mark.parametrize("k,m,max_service", [
+    pytest.param(3, 6, 2, id="3-6"),
+    pytest.param(16, 256, 2, id="16-256"),
+    pytest.param(70, 8, 2, id="70-8"),
+    pytest.param(8, 6, 40, id="8-6-long"),
+    pytest.param(70, 8, 40, id="70-8-long"),
+])
+def test_run_sim_matches_reference_loop_at_benchmark_shapes(k, m, max_service):
     # the sim-stream configurations: default interval, recalls and overload;
-    # (70, 8) runs intake, service and recalls on rows wider than 64 bits
+    # (70, 8) runs intake, service and recalls on rows wider than 64 bits.
+    # Service times up to 40 finish several machines on one tick and keep
+    # a head job waiting many ticks for its busy machine.
     for seed in (1, 2, 3):
         cfg = SimConfig(k=k, m=m, send_failure_prob=0.2, horizon=1000, seed=seed)
-        jobs = stream_jobs(seed, 1000)
+        jobs = stream_jobs(seed, 1000, max_service)
         assert run_sim(cfg, jobs) == _reference_run_sim(cfg, jobs), seed
 
 
