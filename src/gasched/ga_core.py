@@ -29,8 +29,8 @@ Bounded index draws (tournament entrants, random placements) use
 runs stay reproducible draw for draw. Mutation flips each position with
 probability ``mutation_rate/2`` and draws about once per flip, not once
 per position: it walks the geometric gaps between flips, computed with
-``math.log``, so bit-identical output across platforms also rests on the
-platform's ``log``.
+``math.log`` and rounded down with ``math.floor``, so bit-identical
+output across platforms also rests on the platform's ``log``.
 """
 
 from __future__ import annotations
@@ -269,19 +269,23 @@ def _flip_mask(length: int, log_keep: float, rng: random.Random) -> int:
     the next flip is geometric, drawn by inversion as
     ``floor(log(1 - U) / log1p(-p))`` from one ``rng.random()`` (Devroye
     1986, *Non-Uniform Random Variate Generation*), so a call draws once
-    per flip plus once to end the walk, not once per position. 0 without a
-    draw when ``log_keep`` is 0.0.
+    per flip plus once to end the walk, not once per position. The
+    quotient is never negative (``1 - U`` lies in (0, 1] and ``log_keep``
+    is below 0), so it is a float >= 0, -0.0 or +inf, for which
+    ``math.floor`` and truncation agree; ``math.floor`` is the cheaper
+    call. 0 without a draw when ``log_keep`` is 0.0.
     """
     if log_keep == 0.0:  # rate 0, or rate/2 underflows: no position can flip
         return 0
     log = math.log
+    floor = math.floor
     draw = rng.random
     flips = 0
     i = -1  # the last flipped position
     try:
         while True:
-            # int() floors a gap >= 0 (or -0.0): ends exactly when gap >= length - 1 - i
-            i += int(log(1.0 - draw()) / log_keep) + 1
+            # the gap is >= 0 (or -0.0): ends exactly when gap >= length - 1 - i
+            i += floor(log(1.0 - draw()) / log_keep) + 1
             if i >= length:
                 return flips
             flips |= 1 << i

@@ -892,9 +892,27 @@ def _normalized(out):
              "--format", "both"],
             "8cbc06d732afb4aa4d5412811d642d6eeda8ee13f41c7b9f9a5c29c5f01d8468",
         ),
+        (
+            # the optimize-large shape, 800-bit genomes with ~20 flips per
+            # child: at seed 15 a child improves on generation 0 (history
+            # 3.0 -> 2.0), so a change to the mutation walk's gaps moves it
+            [(i, 0, 1 + i % 5) for i in range(100)],
+            ["optimize", "--machines", "8", "--queue-depth", "16", "--w", "12",
+             "--delta", "2", "--seed", "15"],
+            "593765668f0ca3c5b492b46705a3c640c7b0b2d632310ae495ba07db77efd4a2",
+        ),
+        (
+            # the same at rate 1 (~400 flips per child); no child there beats
+            # generation 0, so this pins the CLI path at that rate, not the walk
+            [(i, 0, 1 + i % 5) for i in range(100)],
+            ["optimize", "--machines", "8", "--queue-depth", "16", "--w", "12",
+             "--delta", "2", "--seed", "15", "--mutation-rate", "1"],
+            "b83412ff64cef5633ed790b6281b8695329706af49f367b012cba2a7ae7dd1eb",
+        ),
     ],
     ids=["optimize", "simulate", "oracle-check", "optimize-240-bits", "optimize-240-bits-seed-3",
-         "simulate-1024-machines", "optimize-70-machines", "simulate-16x256"],
+         "simulate-1024-machines", "optimize-70-machines", "simulate-16x256",
+         "optimize-800-bits", "optimize-800-bits-rate-1"],
 )
 def test_stdout_matches_golden_digest(tmp_path, capsys, jobs, argv, digest):
     # a changed digest means a changed output: the objective, an RNG draw

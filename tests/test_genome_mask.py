@@ -14,6 +14,7 @@ the same flip frequencies.
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_mutate_matches_tuple_reference(length, rate):
 
 
 # 5e-324 halves to 0.0 (no draw); at 1e-320 and 1e-310 a gap is usually inf,
-# which int() cannot take; at 1e-300 and 1e-10 it is a huge but finite int
+# which math.floor cannot take; at 1e-300 and 1e-10 it is a huge but finite int
 @pytest.mark.parametrize("rate", (5e-324, 1e-320, 1e-310, 1e-300, 1e-10, 1.0))
 @pytest.mark.parametrize("length", (1, 2, 64, 800, 3000))
 def test_mutate_matches_tuple_reference_at_edge_rates(length, rate):
@@ -150,6 +151,24 @@ def test_mutate_matches_tuple_reference_at_edge_rates(length, rate):
         assert Genome._from_mask(genome.mask ^ flip, length).bits == expected
         assert rng.getstate() == ref_rng.getstate()
         assert (flip == 0) == (expected == bits)
+
+
+@pytest.mark.parametrize(
+    "length, rate, draws, mask",
+    [
+        # log_keep = log(0.5): U = 0.0 gives the quotient -0.0 (gap 0), U = 0.75
+        # exactly 2.0 (gap 2), and U = 0.999999 about 19.9, which ends the walk
+        (8, 1.0, [0.0, 0.75, 0.999999], 0b1001),
+        # U = 0.0 gives -0.0 (gap 0); U = 0.5 gives an inf quotient, which ends the walk
+        (8, 1e-310, [0.0, 0.5], 1),
+    ],
+    ids=["exact-quotients", "inf-quotient"],
+)
+def test_flip_mask_rounds_gap_edges(length, rate, draws, mask):
+    # an RNG that replays fixed random() values, so the test picks the quotients
+    replay = iter(draws)
+    assert flip_mask(length, rate, SimpleNamespace(random=replay.__next__)) == mask
+    assert next(replay, None) is None  # every draw was used
 
 
 @pytest.mark.parametrize("rate", (0.05, 0.6, 1.0))
