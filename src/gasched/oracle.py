@@ -2,8 +2,9 @@
 
 The objective depends only on the drop count and on the number o of
 machines loaded above ``w``. For a fixed o the best schedule places as
-many jobs as fit, so each o = 0..k gives one candidate, and the optimum
-is the least of them. Per optimal o placing s jobs, the optimal
+many jobs as fit, so each o = 0..k gives one candidate, scored from o
+and its drop count alone, and the optimum is the least of them. Per
+optimal o placing s jobs, the optimal
 assignments number C(k, o) choices of the machines above ``w``, times
 C(J, s) of the placed jobs, times the ways to spread them over the k
 machines' load ranges, which a convolution counts.
@@ -14,7 +15,8 @@ machine 2's, and so on, then the drops. Among all optimal assignments it
 is the first in lexicographic order with machines 1..k ranked before the
 drop, the order of a search that tries each job on machine 1, 2, ..., k
 and then drops it: it spells out the lexicographically largest optimal
-non-increasing load vector.
+non-increasing load vector. Load vectors are spelled out only for the
+optimal o.
 """
 
 from __future__ import annotations
@@ -69,29 +71,31 @@ def brute_force_best(
     w = cfg.overload.w
     top = min(m, job_count)
     low = min(w, top)
-    # (score, loads, placed, o): for each o, the lexicographically largest
-    # non-increasing load vector that places the most jobs
+    # (score, o, placed): for each o, the first o loads are >= w + 1 and the
+    # rest <= low <= w, so the score needs only the two counts
     candidates = []
     for o in range(k + 1 if top > w else 1):
         placed = min(job_count, o * top + (k - o) * low)
         if placed < o * (w + 1):
             break
-        loads, rest = [], placed
-        for i in range(k):
-            loads.append(min(top, rest - (o - 1 - i) * (w + 1)) if i < o else min(low, rest))
-            rest -= loads[-1]
-        candidates.append((score(loads, job_count - placed, cfg), loads, placed, o))
+        candidates.append((score(o, job_count - placed, cfg), o, placed))
     best = min(c[0] for c in candidates)
     optimal = [c for c in candidates if c[0] == best]
-    products = sum(k * (placed + 1) * (top + 1) for _, _, placed, _ in optimal)
+    products = sum(k * (placed + 1) * (top + 1) for _, _, placed in optimal)
     if products > PRODUCT_BUDGET:
         raise BudgetError(f"counting the optimal assignments takes {products} "
                           f"products, over the {PRODUCT_BUDGET} budget")
     count = 0
-    for _, _, placed, o in optimal:
+    best_loads = []
+    for _, o, placed in optimal:
         ways = _spread_ways(placed, [(w + 1, top)] * o + [(0, low)] * (k - o))
         count += math.comb(k, o) * math.comb(job_count, placed) * ways[placed]
-    best_loads = max(c[1] for c in optimal)
+        # the lexicographically largest non-increasing load vector of this o
+        loads, rest = [], placed
+        for i in range(k):
+            loads.append(min(top, rest - (o - 1 - i) * (w + 1)) if i < o else min(low, rest))
+            rest -= loads[-1]
+        best_loads = max(best_loads, loads)
     witness = tuple(
         col for col, load in enumerate(best_loads, start=1) for _ in range(load)
     ) + (DROP,) * (job_count - sum(best_loads))

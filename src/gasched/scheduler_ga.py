@@ -32,6 +32,7 @@ from .schedule_matrix import (
     _rebalance_crossover_inplace,
     check_shape,
     column_loads,
+    inverse_select,
 )
 
 if TYPE_CHECKING:
@@ -90,24 +91,20 @@ class SchedulingProblem:
         return problem
 
 
-def score(loads: Sequence[int], drops: int, cfg: SchedulerFitnessConfig) -> float:
-    """The objective: weighted count of dropped jobs and of machines whose
-    load exceeds ``w``; zero exactly when neither occurs."""
-    w = cfg.overload.w
-    overloads = 0
-    for load in loads:  # a plain loop: a generator here is measurably slower
-        if load > w:
-            overloads += 1
+def score(overloads: int, drops: int, cfg: SchedulerFitnessConfig) -> float:
+    """The objective: the weighted sum of ``drops`` dropped jobs and of
+    ``overloads`` machines whose load exceeds ``w``, zero exactly when both
+    counts are; the one place the weights are applied."""
     return cfg.drop_weight * drops + cfg.overload_weight * overloads
 
 
 def schedule_fitness(matrix: ScheduleMatrix, cfg: SchedulerFitnessConfig) -> float:
-    """:func:`score` of a matrix's column loads and dropped rows."""
-    return score(column_loads(matrix), len(matrix.dropped_rows()), cfg)
+    """:func:`score` of a matrix's overloaded machines and dropped rows."""
+    return score(len(inverse_select(matrix, cfg.overload)), len(matrix.dropped_rows()), cfg)
 
 
 def make_fitness(job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig):
-    """Fitness over flattened (job_count x k) bodies, memoized by mask.
+    """Fitness over flattened (job_count x k) bodies.
 
     Scores each genome exactly as ``schedule_fitness`` applied to the
     decoded matrix (see :func:`decode_schedule`), but from
@@ -116,9 +113,9 @@ def make_fitness(job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig):
     exactly when bit ``j`` of the row is set and bits ``0..j-1`` are
     clear. So column ``j`` holds the rows that have bit ``j`` set among
     those not yet placed in columns ``0..j-1``; it keeps ``min(count, m)``
-    of them and evicts the rest, and rows with no 1 at all are dropped.
-    Which rows a full column evicts does not change the score, only how
-    many.
+    of them, is overloaded if they exceed ``w``, and evicts the rest, and
+    rows with no 1 at all are dropped. Which rows a full column evicts does
+    not change the score, only how many.
 
     One evaluation costs a few big-int operations per column (shift, mask,
     popcount) instead of a shift per job row, and stops early once every
@@ -128,31 +125,27 @@ def make_fitness(job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig):
     length = job_count * k
     # bit r*k set for every row r: the mask of column 0
     lanes = ((1 << length) - 1) // ((1 << k) - 1)
-    cache: dict[int, float] = {}
+    w = cfg.overload.w
 
     def fitness(genome: Genome) -> float:
         if genome.length != length:
             raise DimensionError(f"genome length {genome.length} != jobs*k = {length}")
         mask = genome.mask
-        value = cache.get(mask)
-        if value is None:
-            loads = [0] * k
-            drops = 0
-            unplaced = lanes
-            for j in range(k):
-                if not unplaced:
-                    break
-                placed = (mask >> j) & unplaced  # rows whose leftmost 1 is column j
-                unplaced ^= placed
-                count = placed.bit_count()
-                if count > m:  # full column evicts
-                    drops += count - m
-                    count = m
-                loads[j] = count
-            drops += unplaced.bit_count()  # all-zero rows
-            value = score(loads, drops, cfg)
-            cache[mask] = value
-        return value
+        overloads = drops = 0
+        unplaced = lanes
+        for j in range(k):
+            if not unplaced:
+                break
+            placed = (mask >> j) & unplaced  # rows whose leftmost 1 is column j
+            unplaced ^= placed
+            count = placed.bit_count()
+            if count > m:  # full column evicts
+                drops += count - m
+                count = m
+            if count > w:
+                overloads += 1
+        drops += unplaced.bit_count()  # all-zero rows
+        return score(overloads, drops, cfg)
 
     return fitness
 
@@ -252,4 +245,4 @@ def _polish(
             break
         out.rows[i + 1] = 1 << col
         loads[col] += 1
-    return out, score(loads, len(out.dropped_rows()), cfg)
+    return out, score(sum(load > cfg.overload.w for load in loads), len(out.dropped_rows()), cfg)

@@ -81,7 +81,7 @@ def _ref_fitness(bits, job_count, k, m, cfg):
                 break
         else:
             drops += 1
-    return score(loads, drops, cfg)
+    return score(sum(load > cfg.overload.w for load in loads), drops, cfg)
 
 
 def _twin_rngs(seed):
@@ -227,7 +227,7 @@ def test_make_fitness_matches_row_scan(k):
             for bits in cases:
                 expected = _ref_fitness(bits, job_count, k, m, cfg)
                 assert fitness(Genome(bits)) == expected
-                assert fitness(Genome(bits)) == expected  # cached
+                assert fitness(Genome(bits)) == expected  # no state carries over
 
 
 # -------------------------------------------------------- value semantics
@@ -272,10 +272,10 @@ def test_public_constructor_still_validates():
         Genome(())
 
 
-def test_make_fitness_length_check_precedes_cache():
+def test_make_fitness_checks_length_before_the_mask():
     cfg = SchedulerFitnessConfig(overload=OverloadConfig(w=1, delta=0))
     fitness = make_fitness(3, 2, 2, cfg)
     fitness(Genome((1, 0, 0, 0, 0, 0)))
-    for bits in ((1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0)):  # same mask, cached
+    for bits in ((1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0)):  # same mask
         with pytest.raises(DimensionError):
             fitness(Genome(bits))

@@ -69,7 +69,7 @@ def _assignment_fitness(assignment, k, cfg):
             drops += 1
         else:
             loads[col - 1] += 1
-    return score(loads, drops, cfg)
+    return score(sum(load > cfg.overload.w for load in loads), drops, cfg)
 
 
 def _reference_best(job_count, k, m, cfg):
@@ -107,7 +107,7 @@ def scan_load_vectors(job_count, k, m, cfg):
         for i in range(idx, k):
             loads[i] = min(loads[i - 1] if i else top, drops)
             drops -= loads[i]
-        value = score(loads, drops, cfg)
+        value = score(sum(load > cfg.overload.w for load in loads), drops, cfg)
         if value < best:
             best, best_loads, best_drops, count = value, list(loads), drops, 0
         if value == best:
@@ -334,6 +334,15 @@ def test_brute_force_is_exact_far_beyond_load_vector_budget():
     assert result.witness == tuple(
         col for col in range(1, 13) for _ in range(20)
     ) + (None,) * 60
+
+
+def test_brute_force_at_the_machine_cap_scores_candidates_from_counts():
+    # 1024 jobs on the CLI's 1024 machines, m = 1, w = 0: each overloaded
+    # machine costs 10^4 and saves one 100 drop, so dropping all 1024 jobs
+    # is the one optimal assignment
+    cfg = SchedulerFitnessConfig(overload=OverloadConfig(w=0, delta=0), overload_weight=1e4)
+    result = brute_force_best(1024, 1024, 1, cfg)
+    assert result == OracleResult(optimum=102400.0, witness=(None,) * 1024, count=1)
 
 
 def test_brute_force_over_product_budget_raises():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from gasched import (
     run,
     schedule_fitness,
 )
-from gasched import ga_core
+from gasched import ga_core, oracle, scheduler_ga
 from gasched.errors import ConfigError, DimensionError
 from gasched.schedule_matrix import _rebalance_crossover_inplace
 from gasched.scheduler_ga import _polish, random_placement_genome, score
@@ -73,7 +74,7 @@ def test_score_is_never_negative_under_accepted_weights(drop_weight, overload_we
         cfg = fit_cfg(w=w, drop_weight=drop_weight, overload_weight=overload_weight)
     except ConfigError:
         return
-    assert score(loads, drops, cfg) >= 0
+    assert score(sum(load > cfg.overload.w for load in loads), drops, cfg) >= 0
 
 
 def test_fitness_zero_on_clean_matrix():
@@ -118,6 +119,32 @@ def test_fitness_recount_oracle(rng):
         drops, overloads, _ = count_stats(matrix, 1)
         expected = 100.0 * drops + 1.0 * overloads
         assert schedule_fitness(matrix, cfg) == expected
+
+
+def test_every_objective_caller_goes_through_score(monkeypatch):
+    # score is the one place the weights are applied: each caller's score
+    # must come from a score call made in its own frame
+    callers = []
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return score(*args)
+
+    monkeypatch.setattr(scheduler_ga, "score", counted)
+    monkeypatch.setattr(oracle, "score", counted)
+    cfg = fit_cfg(w=1)
+    genome = Genome((1, 0, 0, 1, 1, 0))
+    assert make_fitness(3, 2, 2, cfg)(genome) == 1.0  # machine 1 holds 2 > w jobs
+    assert callers == ["fitness"]
+    callers.clear()
+    assert schedule_fitness(decode_schedule(genome, [0, 1, 2], 2, 2), cfg) == 1.0
+    assert callers == ["schedule_fitness"]
+    callers.clear()
+    optimize_schedule(problem(J=11, k=3, m=3, w=2, delta=0, generations=5))
+    assert {"fitness", "_polish"} <= set(callers)
+    callers.clear()
+    assert brute_force_best(7, 3, 3, cfg).optimum == 2.0
+    assert {"brute_force_best", "schedule_fitness"} == set(callers)
 
 
 # ------------------------------------------------------------------ feasible
