@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .errors import (
-    BudgetError, ConfigError, GaschedError, Rule, at_least, check_fields, in_range, keyed_fields,
+    ConfigError, GaschedError, Rule, at_least, check_fields, in_range, keyed_fields,
 )
 from .ga_core import GaConfig
 from .oracle import brute_force_best
@@ -294,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
             "print-config": cmd_print_config,
         }[cfg.subcommand]
         return handler(cfg)
-    except (ConfigError, BudgetError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GaschedError as exc:

@@ -24,10 +24,6 @@ class CapacityError(GaschedError, RuntimeError):
     """No free slot is available for the requested placement."""
 
 
-class BudgetError(GaschedError, ValueError):
-    """An exact computation would exceed its work budget."""
-
-
 class ConfigError(GaschedError, ValueError):
     """Invalid configuration; the message names the offending key."""
 

@@ -3,11 +3,13 @@
 The objective depends only on the drop count and on the number o of
 machines loaded above ``w``. For a fixed o the best schedule places as
 many jobs as fit, so each o = 0..k gives one candidate, scored from o
-and its drop count alone, and the optimum is the least of them. Per
-optimal o placing s jobs, the optimal
-assignments number C(k, o) choices of the machines above ``w``, times
-C(J, s) of the placed jobs, times the ways to spread them over the k
-machines' load ranges, which a convolution counts.
+and its drop count alone, and the optimum is the least of them, at any
+size. Per optimal o placing s jobs, the optimal assignments number
+C(k, o) choices of the machines above ``w``, times C(J, s) of the placed
+jobs, times the ways to spread them over the k machines' load ranges,
+which a convolution counts. Only the count has size limits: it is
+``None`` when the convolution exceeds ``PRODUCT_BUDGET`` or the count
+reaches ``COUNT_LIMIT``.
 
 The witness is one optimal assignment, as a tuple giving each job's
 machine (1-based) or ``None`` for a drop: machine 1's jobs first, then
@@ -26,13 +28,14 @@ from dataclasses import dataclass
 from operator import add, mul
 from typing import Sequence
 
-from .errors import BudgetError, ConfigError, DimensionError
+from .errors import ConfigError, DimensionError
 from .scheduler_ga import SchedulerFitnessConfig, schedule_fitness, score
 from .schedule_matrix import ScheduleMatrix, check_shape
 
 # big-integer products in the count's convolution; at the limit a call
 # takes a few seconds
 PRODUCT_BUDGET = 3_000_000
+COUNT_LIMIT = 10**4300  # json.dumps writes no int of more than 4300 digits
 
 DROP = None
 
@@ -41,7 +44,7 @@ DROP = None
 class OracleResult:
     optimum: float
     witness: tuple[int | None, ...]
-    count: int
+    count: int | None  # None beyond the count's size limits (module docstring)
 
 
 def assignment_to_matrix(assignment: Sequence[int | None], k: int) -> ScheduleMatrix:
@@ -59,9 +62,9 @@ def assignment_to_matrix(assignment: Sequence[int | None], k: int) -> ScheduleMa
 def brute_force_best(
     job_count: int, k: int, m: int, cfg: SchedulerFitnessConfig
 ) -> OracleResult:
-    """Exact optimum over every capacity-respecting assignment, how many
-    assignments attain it, and a witness: machine 1's jobs, then machine
-    2's, and so on, then the drops (see the module docstring)."""
+    """Exact optimum over every capacity-respecting assignment, a witness
+    (machine 1's jobs, then machine 2's, and so on, then the drops) and how
+    many assignments attain the optimum, or ``None`` (see the module docstring)."""
     check_shape(k, m, cfg.overload)
     if job_count < 0:
         raise ConfigError("workload", "job count must be >= 0")
@@ -82,14 +85,12 @@ def brute_force_best(
     best = min(c[0] for c in candidates)
     optimal = [c for c in candidates if c[0] == best]
     products = sum(k * (placed + 1) * (top + 1) for _, _, placed in optimal)
-    if products > PRODUCT_BUDGET:
-        raise BudgetError(f"counting the optimal assignments takes {products} "
-                          f"products, over the {PRODUCT_BUDGET} budget")
-    count = 0
+    count = 0 if products <= PRODUCT_BUDGET else None
     best_loads = []
     for _, o, placed in optimal:
-        ways = _spread_ways(placed, [(w + 1, top)] * o + [(0, low)] * (k - o))
-        count += math.comb(k, o) * math.comb(job_count, placed) * ways[placed]
+        if count is not None:
+            ways = _spread_ways(placed, [(w + 1, top)] * o + [(0, low)] * (k - o))
+            count += math.comb(k, o) * math.comb(job_count, placed) * ways[placed]
         # the lexicographically largest non-increasing load vector of this o
         loads, rest = [], placed
         for i in range(k):
@@ -102,6 +103,8 @@ def brute_force_best(
     recheck = schedule_fitness(assignment_to_matrix(witness, k), cfg)
     if recheck != best:
         raise AssertionError("witness fitness does not match the reported optimum")
+    if count is not None and count >= COUNT_LIMIT:
+        count = None
     return OracleResult(optimum=best, witness=witness, count=count)
 
 

@@ -772,16 +772,41 @@ def test_oracle_check_solves_beyond_assignment_budget(tmp_path):
     assert json.loads(out.read_text())["oracle_optimum"] == expected == 2103.0
 
 
-def test_oracle_check_over_budget_exits_two(tmp_path, capsys):
+# one GA run of one generation: at the shapes below, a GA of up to 2*10^6 bits at the
+# default population and generations takes many minutes
+SMALL_CHECK = {"oracle_sweep": 1, "generations": 1, "population": 3}
+
+
+def test_oracle_check_over_budget_reports_no_count(tmp_path):
     # all 2000 jobs fit at or below w: counting them takes 1024 * 2001 * 65
-    # products, over the oracle budget
+    # products, over the oracle budget, but the optimum is still exact
     wl = write_workload(tmp_path, [(i, 0, 1) for i in range(2000)])
+    cfg_path = write_config(tmp_path, SMALL_CHECK)
+    out = tmp_path / "oc.json"
     code = main([
-        "oracle-check", "--workload", wl, "--machines", "1024",
-        "--queue-depth", "64", "--w", "2", "--delta", "1",
+        "oracle-check", "--config", cfg_path, "--workload", wl, "--machines", "1024",
+        "--queue-depth", "64", "--w", "2", "--delta", "1", "--out", str(out),
     ])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("config error")
+    assert code in (0, 1)
+    doc = json.loads(out.read_text())
+    assert doc["oracle_optimum"] == 0.0
+    assert doc["oracle_count"] is None
+
+
+def test_oracle_check_reports_no_count_of_more_than_4300_digits(tmp_path):
+    # 1500 of 5000 jobs fit on 150 machines with m = w = 10; the count fits
+    # the product budget but has more digits than json.dumps writes
+    wl = write_workload(tmp_path, [(i, 0, 1) for i in range(5000)])
+    cfg_path = write_config(tmp_path, SMALL_CHECK)
+    out = tmp_path / "oc.json"
+    code = main([
+        "oracle-check", "--config", cfg_path, "--workload", wl, "--machines", "150",
+        "--queue-depth", "10", "--w", "10", "--delta", "1", "--out", str(out),
+    ])
+    assert code in (0, 1)
+    doc = json.loads(out.read_text())
+    assert doc["oracle_optimum"] == 350000.0
+    assert doc["oracle_count"] is None
 
 
 def test_oracle_check_answers_past_the_load_vector_budget(tmp_path):

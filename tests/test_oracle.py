@@ -15,12 +15,17 @@ from gasched import (
     brute_force_best,
     schedule_fitness,
 )
-from gasched.errors import BudgetError, ConfigError, DimensionError
+from gasched import oracle
+from gasched.errors import ConfigError, DimensionError
 from gasched.oracle import PRODUCT_BUDGET, _spread_ways, assignment_to_matrix
 from gasched.scheduler_ga import score
 
 # the size limit of the two reference searches below
 ENUMERATION_BUDGET = 10_000_000
+
+
+class EnumerationBudgetError(Exception):
+    """A reference search below would exceed ENUMERATION_BUDGET."""
 
 
 def fit_cfg(w=2, delta=0):
@@ -38,7 +43,7 @@ def enumerate_assignments(job_count, k, m):
     if job_count < 0 or k < 1 or m < 0:
         raise ValueError("need job_count >= 0, k >= 1, m >= 0")
     if (k + 1) ** job_count > ENUMERATION_BUDGET:
-        raise BudgetError(
+        raise EnumerationBudgetError(
             f"(k+1)^jobs = {(k + 1) ** job_count} exceeds the {ENUMERATION_BUDGET} budget"
         )
 
@@ -94,7 +99,7 @@ def scan_load_vectors(job_count, k, m, cfg):
         return OracleResult(optimum=0.0, witness=(), count=1)
     top = min(m, job_count)
     if math.comb(top + k, k) > ENUMERATION_BUDGET:
-        raise BudgetError("too many load vectors")
+        raise EnumerationBudgetError("too many load vectors")
     fact = [math.factorial(n) for n in range(job_count + 1)]
     numerator = math.factorial(k) * fact[job_count]
     best = math.inf
@@ -164,7 +169,7 @@ def test_enumeration_order_is_deterministic():
 
 
 def test_enumeration_budget_guard():
-    with pytest.raises(BudgetError):
+    with pytest.raises(EnumerationBudgetError):
         list(enumerate_assignments(30, 3, 3))
 
 
@@ -345,11 +350,59 @@ def test_brute_force_at_the_machine_cap_scores_candidates_from_counts():
     assert result == OracleResult(optimum=102400.0, witness=(None,) * 1024, count=1)
 
 
-def test_brute_force_over_product_budget_raises():
-    # all 3000 jobs fit below w on 64 machines: 64 * 3001 * 65 products
+def test_brute_force_over_product_budget_reports_no_count():
+    # all 3000 jobs fit below w on 64 machines: counting them takes
+    # 64 * 3001 * 65 products, but the optimum and witness cost O(k + J)
     assert 64 * 3001 * 65 > PRODUCT_BUDGET
-    with pytest.raises(BudgetError):
-        brute_force_best(3000, 64, 64, fit_cfg(w=48))
+    cfg = fit_cfg(w=48)
+    result = brute_force_best(3000, 64, 64, cfg)
+    assert result.optimum == 0.0
+    assert result.count is None
+    assert schedule_fitness(assignment_to_matrix(result.witness, 64), cfg) == result.optimum
+
+
+def test_brute_force_reports_no_count_of_more_than_4300_digits():
+    # 1500 of 5000 jobs fit on 150 machines with m = w = 10; the count of
+    # optimal assignments fits the product budget but has 4456 digits, more
+    # than json.dumps writes
+    cfg = fit_cfg(w=10, delta=1)
+    assert 150 * 1501 * 11 <= PRODUCT_BUDGET
+    result = brute_force_best(5000, 150, 10, cfg)
+    assert result.optimum == 100.0 * 3500 == 350000.0
+    assert result.count is None
+    assert result.witness == tuple(
+        col for col in range(1, 151) for _ in range(10)
+    ) + (None,) * 3500
+
+
+def test_the_count_never_steers_the_optimum_or_witness(monkeypatch):
+    # over the reference searches' sizes, with ties between overload counts
+    # (overload_weight 0): with no budget for the count, the optimum and the
+    # witness are unchanged and the count is None
+    shapes = [
+        (job_count, k, m, w, weights)
+        for job_count, k, m in itertools.product(
+            [*range(1, 8), *range(10, 41, 5)], range(1, 7), range(1, 9)
+        )
+        for w in range(m + 1)
+        for weights in [(100.0, 1.0), (100.0, 150.0), (0.5, 1.0), (1.0, 0.0), (2.0, 3.0)]
+    ]
+
+    def run(job_count, k, m, w, weights):
+        cfg = SchedulerFitnessConfig(
+            overload=OverloadConfig(w=w, delta=0),
+            drop_weight=weights[0],
+            overload_weight=weights[1],
+        )
+        return brute_force_best(job_count, k, m, cfg)
+
+    counted = [run(*shape) for shape in shapes]
+    monkeypatch.setattr(oracle, "PRODUCT_BUDGET", 0)
+    for shape, full in zip(shapes, counted):
+        assert full.count is not None, shape
+        got = run(*shape)
+        assert (got.optimum, got.witness) == (full.optimum, full.witness), shape
+        assert got.count is None, shape
 
 
 @pytest.mark.parametrize(
