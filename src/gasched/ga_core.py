@@ -19,10 +19,13 @@ length: bit ``i`` of the mask is position ``i`` of the genome (for a
 flattened job x machine body, position ``r*k + j``). Bits are validated
 once, at the boundary, when a caller builds ``Genome(bits)``; the
 operators here work on masks and build genomes through the trusted
-``Genome._from_mask``. :func:`step_generation` breeds each child on the
-mask cores of crossover and mutation, builds one genome per child and
-scores it as it is bred; elites keep their score. :func:`crossover` is
-the public genome form of its core.
+``Genome._from_mask``. :func:`run` carries a population as two parallel
+lists, the members' masks and their scores, and breeds on the index and
+mask cores of selection, crossover and mutation. It builds one genome per
+child, because the fitness contract takes a :class:`Genome`, and one
+:class:`Individual`, for the best it returns. :func:`select_parents`,
+:func:`step_generation` and :func:`crossover` are the public forms of
+those cores.
 
 Bounded index draws (tournament entrants, random placements) use
 ``getrandbits`` with rejection, which is ``randrange``'s own rule, so
@@ -183,12 +186,12 @@ def stream(seed: int, tag: str) -> random.Random:
     return random.Random(f"{seed}/{tag}")
 
 
-def _scored(genome: Genome, fitness: FitnessFunction) -> Individual:
-    """``genome`` with its fitness; a non-finite value is a ValueError."""
+def _score(genome: Genome, fitness: FitnessFunction) -> float:
+    """The fitness of ``genome``; a non-finite value is a ValueError."""
     value = float(fitness(genome))
     if not math.isfinite(value):
         raise ValueError("fitness values must be finite")
-    return Individual(genome, value)
+    return value
 
 
 def _indices_below(rng: random.Random, n: int, count: int) -> list[int]:
@@ -209,6 +212,31 @@ def _indices_below(rng: random.Random, n: int, count: int) -> list[int]:
     return out
 
 
+def _checked_fitness(population: Population, config: GaConfig) -> list[float]:
+    """The members' fitness values, once every member is scored and the
+    population is larger than ``config.elite_count``."""
+    fit = [ind.fitness for ind in population.members]
+    if None in fit:
+        raise StateError("population must be evaluated first")
+    if config.elite_count >= len(fit):
+        raise ValueError("elite_count must be smaller than the population size")
+    return fit
+
+
+def _select(fit: list[float], elite_count: int, rng: random.Random) -> tuple[list[int], list[int]]:
+    """The index core of :func:`select_parents`: the indices of the
+    ``elite_count`` best members, best first, and of ``2 * (N - elite_count)``
+    tournament winners, read in pairs."""
+    n = len(fit)
+    elites = sorted(range(n), key=fit.__getitem__)[:elite_count]  # stable: ties keep index order
+    draws = _indices_below(rng, n, 4 * (n - elite_count))
+    winners = [
+        i if fit[i] < fit[j] or (not fit[j] < fit[i] and i < j) else j
+        for i, j in zip(draws[::2], draws[1::2])
+    ]
+    return elites, winners
+
+
 def select_parents(population: Population, config: GaConfig, rng: random.Random) -> ParentSelection:
     """Tournament selection plus elite marking.
 
@@ -217,22 +245,15 @@ def select_parents(population: Population, config: GaConfig, rng: random.Random)
     pairs, each parent the winner of an independent size-2 tournament:
     lower fitness wins, a tie goes to the lower index. The entrants'
     indices are drawn as ``randrange(N)`` draws them, four per pair.
+    This is the public form of the index core that :func:`run` selects
+    with, and draws exactly what it draws.
     """
     members = population.members
-    fit = [ind.fitness for ind in members]
-    if None in fit:
-        raise StateError("population must be evaluated first")
-    n = population.size
-    if config.elite_count >= n:
-        raise ValueError("elite_count must be smaller than the population size")
-    order = sorted(range(n), key=fit.__getitem__)  # stable: ties keep index order
-    elites = [Individual(members[i].genome, fit[i]) for i in order[: config.elite_count]]
-    draws = _indices_below(rng, n, 4 * (n - config.elite_count))
-    winners = [
-        members[i] if fit[i] < fit[j] or (not fit[j] < fit[i] and i < j) else members[j]
-        for i, j in zip(draws[::2], draws[1::2])
-    ]
-    return ParentSelection(elites, list(zip(winners[::2], winners[1::2])))
+    fit = _checked_fitness(population, config)
+    elites, winners = _select(fit, config.elite_count, rng)
+    parents = [members[i] for i in winners]
+    return ParentSelection([Individual(members[i].genome, fit[i]) for i in elites],
+                           list(zip(parents[::2], parents[1::2])))
 
 
 def _crossover_mask(a: int, b: int, length: int, rng: random.Random) -> int:
@@ -293,6 +314,28 @@ def _flip_mask(length: int, log_keep: float, rng: random.Random) -> int:
         return flips
 
 
+def _breed(masks: list[int], fit: list[float], length: int, fitness: FitnessFunction,
+           config: GaConfig, rng: random.Random) -> tuple[list[int], list[float]]:
+    """The mask core of :func:`step_generation`: the next generation's
+    ``length``-bit masks and their scores, from this one's."""
+    elites, winners = _select(fit, config.elite_count, rng)
+    log_keep = math.log1p(-config.mutation_rate / 2)
+    draw = rng.random
+    crossover_rate = config.crossover_rate
+    from_mask = Genome._from_mask
+    next_masks = [masks[i] for i in elites]
+    next_fit = [fit[i] for i in elites]
+    for a, b in zip(winners[::2], winners[1::2]):
+        if draw() < crossover_rate:
+            mask = _crossover_mask(masks[a], masks[b], length, rng)
+        else:
+            mask = masks[a] if fit[a] <= fit[b] else masks[b]
+        mask ^= _flip_mask(length, log_keep, rng)
+        next_masks.append(mask)
+        next_fit.append(_score(from_mask(mask, length), fitness))
+    return next_masks, next_fit
+
+
 def step_generation(
     population: Population,
     fitness: FitnessFunction,
@@ -304,24 +347,18 @@ def step_generation(
     Each non-elite slot takes a crossover child (with probability
     ``crossover_rate``, otherwise a clone of the better parent), then
     mutation, and is scored as it is bred. Elites keep their fitness,
-    which a pure ``fitness`` would only repeat.
+    which a pure ``fitness`` would only repeat. This is the public form
+    of the mask core that :func:`run` breeds with, and draws exactly what
+    it draws.
     """
     if population.size != config.population_size:
         raise ValueError("population size does not match config.population_size")
-    selection = select_parents(population, config, rng)
-    log_keep = math.log1p(-config.mutation_rate / 2)
+    fit = _checked_fitness(population, config)
     length = population.members[0].genome.length
-    draw = rng.random
-    crossover_rate = config.crossover_rate
-    members = selection.elites
-    for a, b in selection.pairs:
-        if draw() < crossover_rate:
-            mask = _crossover_mask(a.genome.mask, b.genome.mask, length, rng)
-        else:
-            mask = (a if a.fitness <= b.fitness else b).genome.mask
-        mask ^= _flip_mask(length, log_keep, rng)
-        members.append(_scored(Genome._from_mask(mask, length), fitness))
-    return Population._from_members(members)
+    masks = [ind.genome.mask for ind in population.members]
+    masks, fit = _breed(masks, fit, length, fitness, config, rng)
+    return Population._from_members(
+        [Individual(Genome._from_mask(mask, length), value) for mask, value in zip(masks, fit)])
 
 
 def has_converged(best_history: list[float], config: GaConfig) -> bool:
@@ -341,11 +378,6 @@ def has_converged(best_history: list[float], config: GaConfig) -> bool:
     return False
 
 
-def _best(population: Population) -> Individual:
-    fit = [ind.fitness for ind in population.members]
-    return population.members[fit.index(min(fit))]  # first of the tied best
-
-
 def run(
     initializer: Callable[[random.Random], Genome],
     fitness: FitnessFunction,
@@ -353,8 +385,11 @@ def run(
     *,
     floor: float | None = None,
 ) -> tuple[Individual, list[float]]:
-    """Full GA loop; returns the best individual ever seen and the
+    """Full GA loop; returns the best individual ever seen (the first of
+    the tied best, in the earliest generation that reached it) and the
     per-generation best-fitness history (initial generation included).
+    Each generation is the one :func:`step_generation` breeds, carried as
+    masks and scores.
 
     ``floor``, if given, is a lower bound on every fitness value. The
     initial generation is built and scored one member at a time, and the
@@ -367,24 +402,26 @@ def run(
     floor and only the history is shorter.
     """
     init_rng = stream(config.rng_seed, "init")
-    members = []
+    masks, fit = [], []
     for _ in range(config.population_size):
         genome = initializer(init_rng)
-        if members and len(genome) != len(members[0].genome):
+        if masks and genome.length != length:
             raise DimensionError("all genomes in a population must share one length")
-        member = _scored(genome, fitness)
-        if floor is not None and member.fitness <= floor:
-            return member, [member.fitness]
-        members.append(member)
-    population = Population._from_members(members)
+        length = genome.length
+        value = _score(genome, fitness)
+        if floor is not None and value <= floor:
+            return Individual(genome, value), [value]
+        masks.append(genome.mask)
+        fit.append(value)
     evolve_rng = stream(config.rng_seed, "evolve")
-    top = _best(population)
-    best = Individual(top.genome, top.fitness)
-    history = [top.fitness]
-    while (floor is None or best.fitness > floor) and not has_converged(history, config):
-        population = step_generation(population, fitness, config, evolve_rng)
-        top = _best(population)
-        history.append(top.fitness)
-        if top.fitness < best.fitness:
-            best = Individual(top.genome, top.fitness)
-    return best, history
+    best = min(fit)
+    best_mask = masks[fit.index(best)]  # first of the tied best
+    history = [best]
+    while (floor is None or best > floor) and not has_converged(history, config):
+        masks, fit = _breed(masks, fit, length, fitness, config, evolve_rng)
+        top = min(fit)
+        history.append(top)
+        if top < best:
+            best = top
+            best_mask = masks[fit.index(top)]
+    return Individual(Genome._from_mask(best_mask, length), best), history

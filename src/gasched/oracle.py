@@ -9,7 +9,10 @@ C(k, o) choices of the machines above ``w``, times C(J, s) of the placed
 jobs, times the ways to spread them over the k machines' load ranges,
 which a convolution counts. Only the count has size limits: it is
 ``None`` when the convolution exceeds ``PRODUCT_BUDGET`` or the count
-reaches ``COUNT_LIMIT``.
+reaches ``COUNT_LIMIT``. The assignments that spread the placed jobs as
+the load vector spelled out for each optimal o, s! / (l_1! ... l_k!) ways,
+are a part of the count; once their sum reaches ``COUNT_LIMIT`` the count
+is ``None`` without the convolution.
 
 The witness is one optimal assignment, as a tuple giving each job's
 machine (1-based) or ``None`` for a drop: machine 1's jobs first, then
@@ -84,19 +87,29 @@ def brute_force_best(
         candidates.append((score(o, job_count - placed, cfg), o, placed))
     best = min(c[0] for c in candidates)
     optimal = [c for c in candidates if c[0] == best]
-    products = sum(k * (placed + 1) * (top + 1) for _, _, placed in optimal)
-    count = 0 if products <= PRODUCT_BUDGET else None
-    best_loads = []
+    countable = sum(k * (placed + 1) * (top + 1) for _, _, placed in optimal) <= PRODUCT_BUDGET
+    # each job goes to one of k machines or is dropped, so the count is below
+    # (k + 1)**J < 2**(J * (k + 1).bit_length()); only past COUNT_LIMIT's bits can it reach it
+    bounded = countable and job_count * (k + 1).bit_length() >= COUNT_LIMIT.bit_length()
+    best_loads, bound = [], 0
     for _, o, placed in optimal:
-        if count is not None:
-            ways = _spread_ways(placed, [(w + 1, top)] * o + [(0, low)] * (k - o))
-            count += math.comb(k, o) * math.comb(job_count, placed) * ways[placed]
         # the lexicographically largest non-increasing load vector of this o
         loads, rest = [], placed
         for i in range(k):
             loads.append(min(top, rest - (o - 1 - i) * (w + 1)) if i < o else min(low, rest))
             rest -= loads[-1]
         best_loads = max(best_loads, loads)
+        if bounded:
+            # the assignments of this o whose loads are exactly these: a part
+            # of its count, so the sum is a lower bound on the whole count
+            bound += (math.comb(k, o) * math.comb(job_count, placed) * math.factorial(placed)
+                      // math.prod(map(math.factorial, loads)))
+    count = None
+    if countable and bound < COUNT_LIMIT:
+        count = 0
+        for _, o, placed in optimal:
+            ways = _spread_ways(placed, [(w + 1, top)] * o + [(0, low)] * (k - o))
+            count += math.comb(k, o) * math.comb(job_count, placed) * ways[placed]
     witness = tuple(
         col for col, load in enumerate(best_loads, start=1) for _ in range(load)
     ) + (DROP,) * (job_count - sum(best_loads))

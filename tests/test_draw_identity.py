@@ -8,14 +8,19 @@ members and leave the RNG in the same state. ``_ref_step_generation`` is
 the breeding loop written over the tuple-of-bits references of crossover
 and mutation in ``conftest``, which share no code with the mask cores
 under test; it scores the whole next generation (elites too) at the end.
+``_ref_run`` is the GA loop written over the public ``Population`` and
+``step_generation``, which ``run`` must follow without building either.
 """
 
 import random
 
 import pytest
 
-from gasched import GaConfig, Genome, Individual, Population, select_parents, step_generation
-from gasched.ga_core import _best, _indices_below
+from gasched import (
+    GaConfig, Genome, Individual, Population, has_converged, random_genome, run, select_parents,
+    step_generation,
+)
+from gasched.ga_core import _indices_below, stream
 
 from conftest import _ref_crossover, _ref_mutate
 
@@ -71,6 +76,28 @@ def _ref_step_generation(population, fitness, config, rng):
     return Population([Individual(g, fitness(g)) for g in genomes])
 
 
+def _ref_run(initializer, fitness, config, floor):
+    init_rng = stream(config.rng_seed, "init")
+    members = []
+    for _ in range(config.population_size):
+        genome = initializer(init_rng)
+        member = Individual(genome, fitness(genome))
+        if floor is not None and member.fitness <= floor:
+            return member, [member.fitness]
+        members.append(member)
+    population = Population(members)
+    evolve_rng = stream(config.rng_seed, "evolve")
+    best = _ref_best(population.members)
+    history = [best.fitness]
+    while (floor is None or best.fitness > floor) and not has_converged(history, config):
+        population = step_generation(population, fitness, config, evolve_rng)
+        top = _ref_best(population.members)
+        history.append(top.fitness)
+        if top.fitness < best.fitness:
+            best = top
+    return best, history
+
+
 def _population(n, rng):
     members = [
         Individual(Genome._from_mask(i, 7), rng.choice(FITNESS_VALUES)) for i in range(n)
@@ -116,14 +143,6 @@ def test_select_parents_matches_randrange_reference(n):
             assert rng.getstate() == ref_rng.getstate()
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_best_is_first_of_the_tied_best(n):
-    fitness_rng = random.Random(n)
-    for _ in SEEDS:
-        members = _population(n, fitness_rng).members
-        assert _best(Population(members)) is _ref_best(members)
-
-
 def _tied_fitness(genome):
     # few distinct values, so that tournaments and elite ranks tie often
     return float(genome.mask.bit_count() % 4)
@@ -151,3 +170,19 @@ def test_step_generation_matches_operator_reference(n, elite_count, crossover_ra
             (ind.genome, ind.fitness) for ind in expected.members
         ]
         assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("length", (1, 21, 800))
+@pytest.mark.parametrize("floor", (None, 0.0, 1.0))
+@pytest.mark.parametrize("n, elite_count", [(2, 0), (3, 2), (8, 0), (40, 2)])
+def test_run_matches_the_population_loop(n, elite_count, floor, length):
+    # tied scores make the first of the tied best matter, in every
+    # generation and in the best kept across generations
+    for seed in range(20):
+        cfg = GaConfig(population_size=n, max_generations=30, elite_count=elite_count,
+                       rng_seed=seed)
+        initializer = lambda r: random_genome(length, r)  # noqa: E731
+        best, history = run(initializer, _tied_fitness, cfg, floor=floor)
+        expected, expected_history = _ref_run(initializer, _tied_fitness, cfg, floor)
+        assert (best.genome, best.fitness) == (expected.genome, expected.fitness)
+        assert history == expected_history

@@ -406,6 +406,40 @@ def test_the_count_never_steers_the_optimum_or_witness(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "job_count, k, m, w, drop_weight, overload_weight",
+    [
+        (1, 1, 1, 0, 100.0, 1.0),
+        (5, 2, 2, 2, 100.0, 1.0),
+        (6, 3, 3, 2, 100.0, 1.0),
+        (7, 3, 3, 1, 100.0, 1.0),
+        (9, 3, 3, 1, 100.0, 1.0),
+        (11, 3, 3, 3, 100.0, 1.0),
+        (12, 4, 3, 2, 100.0, 1.0),
+        (20, 5, 4, 2, 100.0, 1.0),
+        (30, 4, 8, 8, 100.0, 1.0),
+        (40, 6, 8, 4, 100.0, 1.0),
+        (7, 3, 3, 1, 1.0, 0.0),
+        (10, 3, 4, 1, 100.0, 150.0),
+    ],
+)
+def test_the_count_is_none_exactly_at_the_limit(monkeypatch, job_count, k, m, w,
+                                                 drop_weight, overload_weight):
+    # the lower bound that skips the convolution must never reach the limit
+    # before the count does
+    cfg = SchedulerFitnessConfig(
+        overload=OverloadConfig(w=w, delta=0),
+        drop_weight=drop_weight,
+        overload_weight=overload_weight,
+    )
+    full = brute_force_best(job_count, k, m, cfg)
+    assert full.count is not None
+    monkeypatch.setattr(oracle, "COUNT_LIMIT", full.count)
+    assert brute_force_best(job_count, k, m, cfg) == OracleResult(full.optimum, full.witness, None)
+    monkeypatch.setattr(oracle, "COUNT_LIMIT", full.count + 1)
+    assert brute_force_best(job_count, k, m, cfg) == full
+
+
+@pytest.mark.parametrize(
     "drop_weight, overload_weight, key",
     [(1e308, 1e308, "drop_weight"), (1e308, 0.0, "drop_weight"),
      (1e300, 1e308, "overload_weight")],

@@ -328,13 +328,13 @@ def test_a_floor_at_the_optimum_only_cuts_the_history(shape, seed, population):
 
 def test_a_floor_at_a_positive_optimum_skips_every_generation_step(monkeypatch):
     steps = []
-    step = ga_core.step_generation
+    step = ga_core._breed
 
     def counted(*args):
         steps.append(1)
         return step(*args)
 
-    monkeypatch.setattr(ga_core, "step_generation", counted)
+    monkeypatch.setattr(ga_core, "_breed", counted)
     p = problem(J=7, k=3, m=3, w=1, delta=0)
     optimum = brute_force_best(7, 3, 3, p.fitness_cfg).optimum
     assert optimum == 2.0
