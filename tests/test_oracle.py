@@ -241,9 +241,10 @@ def test_assignment_fitness_agrees_with_matrix_route():
 
 
 def loop_spread_ways(placed, ranges):
-    """The per-element loops that _spread_ways replaced: ways[t] for
-    t = 0..placed, the maps of t labelled jobs onto one machine per
-    (lo, hi) of ranges, each loaded in [lo, hi]."""
+    """The per-element loops of the full convolution that _spread_ways
+    replaced: ways[t] for t = 0..placed, the maps of t labelled jobs onto
+    one machine per (lo, hi) of ranges, each loaded in [lo, hi]; _spread_ways
+    returns only ways[placed]."""
     ways = [1] + [0] * placed
     for lo, hi in ranges:
         row, new = [1] + [0] * hi, []  # row[l] = C(t, l), one Pascal step per t
@@ -258,14 +259,15 @@ def loop_spread_ways(placed, ranges):
 # ------------------------------------------------------ brute force vs references
 
 def test_spread_ways_matches_the_per_element_loops():
-    # brute_force_best's ranges: o machines in [w + 1, top], k - o in [0, low].
-    # 40 jobs stand for every J <= 40, since ways[t] does not depend on
-    # placed > t and J < m gives the ranges of m = J. o runs 0..k, and end < lo
-    # holds at every t < lo, and at every t when w = m puts lo above top
+    # brute_force_best's ranges: o machines in [w + 1, top], k - o in [0, low],
+    # for every placed <= 40; J < m gives the ranges of m = J. o runs 0..k,
+    # k = 1 makes the first machine also the last, and w = m puts lo above top
     for m, k in itertools.product(range(1, 9), range(1, 7)):
         for w, o in itertools.product(range(m + 1), range(k + 1)):
             ranges = [(w + 1, m)] * o + [(0, w)] * (k - o)
-            assert _spread_ways(40, ranges) == loop_spread_ways(40, ranges), (m, k, w, o)
+            reference = loop_spread_ways(40, ranges)
+            for placed in range(41):
+                assert _spread_ways(placed, ranges) == reference[placed], (m, k, w, o, placed)
 
 
 def test_brute_force_matches_assignment_scan():
@@ -339,6 +341,24 @@ def test_brute_force_is_exact_far_beyond_load_vector_budget():
     assert result.witness == tuple(
         col for col in range(1, 13) for _ in range(20)
     ) + (None,) * 60
+
+
+@pytest.mark.parametrize(
+    "job_count, k, m, w, optimum, count",
+    [
+        # nothing overloads or drops: each job takes any of the 12 machines
+        (120, 12, 120, 120, 0.0, 12**120),
+        # one job per machine: the orderings of the 200 jobs
+        (200, 200, 1, 1, 0.0, math.factorial(200)),
+        # 150 machines overload at load 1, their lo, and 50 stay empty
+        (150, 200, 1, 0, 150.0, math.factorial(200) // math.factorial(50)),
+    ],
+    ids=["all-fit", "one-per-machine", "overloaded-at-lo"],
+)
+def test_brute_force_counts_closed_forms_past_the_enumerators(job_count, k, m, w,
+                                                              optimum, count):
+    result = brute_force_best(job_count, k, m, fit_cfg(w=w))
+    assert (result.optimum, result.count) == (optimum, count)
 
 
 def test_brute_force_at_the_machine_cap_scores_candidates_from_counts():
