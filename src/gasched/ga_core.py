@@ -257,11 +257,14 @@ def select_parents(population: Population, config: GaConfig, rng: random.Random)
 
 
 def _crossover_mask(a: int, b: int, length: int, rng: random.Random) -> int:
-    """:func:`crossover` of two ``length``-bit masks; ``a`` without a draw if equal."""
+    """:func:`crossover` of two ``length``-bit masks; ``a`` without a draw if equal.
+    ``b`` with its disagreeing bits flipped where ``pick`` is 1: the same
+    child as ``(a & pick) | (b & ~pick)`` in three operations on
+    non-negative ints."""
     if a == b:
         return a
     pick = rng.getrandbits(length)
-    return (a & pick) | (b & ~pick)
+    return b ^ ((a ^ b) & pick)
 
 
 def crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
@@ -269,8 +272,9 @@ def crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
 
     Wherever the parents agree the child inherits that bit; at every
     disagreement it takes either parent's bit with probability 1/2: one
-    ``getrandbits(length)`` draw picks ``a``'s bit where it has a 1 and
-    ``b``'s where it has a 0. Equal parents return ``a`` without a draw.
+    ``getrandbits(length)`` draw ``pick`` takes ``a``'s bit where it has a
+    1 and ``b``'s where it has a 0, so the child's mask is
+    ``b ^ ((a ^ b) & pick)``. Equal parents return ``a`` without a draw.
     """
     if a.length != b.length:
         raise DimensionError("parents must have equal length")

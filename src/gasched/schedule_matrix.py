@@ -250,11 +250,15 @@ def _mutate_dropped_rows_inplace(
 
 
 def to_text(matrix: ScheduleMatrix) -> str:
-    """Plain-text snapshot: dims, one line per row, then the label line."""
-    lines = [f"{matrix.m} {matrix.k}"]
+    """Plain-text snapshot: dims, one line per row, then the label line.
+    Each distinct row value is formatted once per call: a decoded schedule
+    has at most ``k + 1`` of them (the one-hot rows and 0)."""
+    spec = f"0{matrix.k}b"
     # the binary string of a mask lists bit k-1 first
-    lines.extend(" ".join(format(row, f"0{matrix.k}b")[::-1]) for row in matrix.rows)
-    lines.append(",".join("-" if lab is None else str(lab) for lab in matrix.labels))
+    cells = {row: " ".join(format(row, spec)[::-1]) for row in set(matrix.rows)}
+    lines = [f"{matrix.m} {matrix.k}"]
+    lines.extend([cells[row] for row in matrix.rows])
+    lines.append(",".join(["-" if lab is None else str(lab) for lab in matrix.labels]))
     return "\n".join(lines) + "\n"
 
 

@@ -210,8 +210,10 @@ def test_random_placement_matches_tuple_reference(job_count, k):
 
 
 # k = 16 and 31 put rows across the 30-bit digits of CPython ints, as
-# LENGTHS does for genomes; m = job_count lets one column take every job
-@pytest.mark.parametrize("k", (1, 2, 3, 8, 16, 31))
+# LENGTHS does for genomes; k = 32, 64 and 65 make the complement span
+# whole 64-bit words, and at m = 1 the one-hot placements leave trailing
+# all-zero rows; m = job_count lets one column take every job
+@pytest.mark.parametrize("k", (1, 2, 3, 8, 16, 31, 32, 64, 65))
 def test_make_fitness_matches_row_scan(k):
     rng = random.Random(k)
     for job_count in (1, 2, 10, 100):

@@ -35,6 +35,7 @@ from gasched.schedule_matrix import (
     _recall_job_inplace,
     _shift_up_inplace,
 )
+from gasched.scheduler_ga import random_placement_genome
 
 from conftest import on_copy, pack, random_matrix, random_parts
 
@@ -556,6 +557,44 @@ def test_text_snapshot_round_trip(rng):
     for _ in range(50):
         matrix = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 5), labeled=True)
         assert from_text(to_text(matrix)) == matrix
+
+
+def _reference_to_text(matrix):
+    """to_text as first written, one format a row."""
+    lines = [f"{matrix.m} {matrix.k}"]
+    lines.extend(" ".join(format(row, f"0{matrix.k}b")[::-1]) for row in matrix.rows)
+    lines.append(",".join("-" if lab is None else str(lab) for lab in matrix.labels))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k", (1, 8, 31, 64, 70, 1024))
+def test_to_text_matches_per_row_reference(k):
+    rng = random.Random(k)
+    full = (1 << k) - 1
+    pool = [0, 1, full, 1 << (k - 1)]
+    distinct = []
+    while len(distinct) < min(13, 1 << k):
+        value = rng.getrandbits(k)
+        if value not in distinct:
+            distinct.append(value)
+    cases = [
+        [rng.choice(pool) for _ in range(13)],  # repeated rows
+        [rng.getrandbits(k) | rng.getrandbits(k) for _ in range(13)],  # multi-bit rows
+        [0] * 13,
+        distinct,
+    ]
+    decoded = decode_schedule(random_placement_genome(20, k, 3, rng), list(range(20)), k, 3)
+    assert len(set(decoded.rows)) <= k + 1
+    matrices = [decoded]
+    for rows in cases:
+        unlabeled = [None] * len(rows)
+        labeled = [None if rng.random() < 0.3 else i * 10**12 for i in range(len(rows))]
+        matrices += [ScheduleMatrix(len(rows) - 1, k, rows, labels)
+                     for labels in (unlabeled, labeled)]
+    for matrix in matrices:
+        text = to_text(matrix)
+        assert text == _reference_to_text(matrix)
+        assert from_text(text) == matrix
 
 
 def test_text_snapshot_shape():
