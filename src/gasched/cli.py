@@ -74,7 +74,8 @@ class RunConfig:
     max_recalls: int = _key(SimConfig.max_recalls)
     drop_weight: float = _key(SchedulerFitnessConfig.drop_weight)
     overload_weight: float = _key(SchedulerFitnessConfig.overload_weight)
-    oracle_sweep: int = _key(20, at_least(1))
+    # one GA run and one ga_sweep entry per seed
+    oracle_sweep: int = _key(20, at_least(1), (lambda v: v <= 10**5, "must lie in [1, 100000]"))
     workload: str | None = _key(None, flag=True)
     out: str | None = _key(None, flag=True)
     format: str = _key("json", _one_of("json", "csv", "both"), flag=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import ga_core
 from .errors import ConfigError, DimensionError, at_least, check_fields, checked
@@ -204,10 +204,26 @@ def random_placement_genome(job_count: int, k: int, m: int, rng) -> Genome:
     return Genome._from_mask(mask, length)
 
 
-class OptimizeResult(NamedTuple):
-    matrix: ScheduleMatrix
-    fitness: float
-    history: list[float]
+class OptimizeResult:
+    """What :func:`optimize_schedule` returns: the best ``matrix``, its
+    ``fitness`` and the best-fitness ``history``. A plain class, not a
+    tuple. ``matrix`` may be built on its first read, and is then kept."""
+
+    __slots__ = ("_matrix", "_build", "fitness", "history")
+
+    def __init__(self, matrix: ScheduleMatrix | None, fitness: float, history: list[float],
+                 build: Callable[[], tuple[ScheduleMatrix, float]] | None = None):
+        self._matrix = matrix
+        self._build = build
+        self.fitness = fitness
+        self.history = history
+
+    @property
+    def matrix(self) -> ScheduleMatrix:
+        if self._matrix is None:
+            self._matrix = self._build()[0]
+            self._build = None
+        return self._matrix
 
 
 def optimize_schedule(problem: SchedulingProblem, *, floor: float = 0.0) -> OptimizeResult:
@@ -217,7 +233,12 @@ def optimize_schedule(problem: SchedulingProblem, *, floor: float = 0.0) -> Opti
 
     ``floor`` must be a lower bound on every schedule's score, such as 0
     or the exact optimum; the matrix and fitness are then those of a run
-    with ``floor=0.0``, and only the history can be shorter."""
+    with ``floor=0.0``, and only the history can be shorter. The matrix is
+    the decoded best, polished when that scores no worse. A run that ends
+    at its floor reports the GA's fitness without decoding, since no polish
+    can score below a lower bound, and builds its matrix on the first read
+    of ``matrix``. So a floor above the optimum would also fix the reported
+    fitness at the GA's unpolished best."""
     job_ids = [job.id for job in problem.jobs]
     job_count = len(job_ids)
     k, m = problem.k, problem.m
@@ -228,11 +249,17 @@ def optimize_schedule(problem: SchedulingProblem, *, floor: float = 0.0) -> Opti
         return random_placement_genome(job_count, k, m, rng)
 
     best, history = ga_core.run(initializer, fitness, problem.ga_cfg, floor=floor)
-    matrix = decode_schedule(best.genome, job_ids, k, m)
-    polished, polished_fitness = _polish(matrix, m, cfg)
-    if polished_fitness <= best.fitness:
-        return OptimizeResult(polished, polished_fitness, history)
-    return OptimizeResult(matrix, best.fitness, history)
+
+    def build() -> tuple[ScheduleMatrix, float]:
+        matrix = decode_schedule(best.genome, job_ids, k, m)
+        polished, polished_fitness = _polish(matrix, m, cfg)
+        if polished_fitness <= best.fitness:
+            return polished, polished_fitness
+        return matrix, best.fitness
+
+    if best.fitness <= floor:
+        return OptimizeResult(None, best.fitness, history, build)
+    return OptimizeResult(*build(), history)
 
 
 def _polish(

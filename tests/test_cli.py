@@ -24,7 +24,7 @@ from gasched import (
     brute_force_best,
     optimize_schedule,
 )
-from gasched import cli, ga_core, simulator
+from gasched import cli, ga_core, scheduler_ga, simulator
 from gasched.cli import SUBCOMMANDS, RunConfig, _make_problem, main, parse_config
 from gasched.errors import ConfigError
 
@@ -393,6 +393,28 @@ def test_population_cap_is_inclusive(capsys):
     assert json.loads(capsys.readouterr().out)["population"] == 10**5
 
 
+@pytest.mark.parametrize("sweep", [10**5 + 1, 10**20], ids=["cap-plus-one", "1e20"])
+@pytest.mark.parametrize("subcommand", ["print-config", "oracle-check"])
+def test_oracle_sweep_above_cap_exits_two_before_the_oracle_or_any_run(tmp_path, capsys,
+                                                                       monkeypatch, subcommand,
+                                                                       sweep):
+    # an uncapped sweep would start that many GA runs and list each one's fitness
+    def no_call(*args, **kwargs):
+        raise AssertionError("the oracle or a GA run started")
+
+    monkeypatch.setattr(ga_core, "run", no_call)
+    monkeypatch.setattr(cli, "brute_force_best", no_call)
+    argv = [subcommand, "--workload", write_workload(tmp_path, [(0, 0, 1)]),
+            "--config", write_config(tmp_path, {"oracle_sweep": sweep})]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: oracle_sweep: must lie in [1, 100000]\n"
+
+
+def test_oracle_sweep_cap_is_inclusive(tmp_path, capsys):
+    assert main(["print-config", "--config", write_config(tmp_path, {"oracle_sweep": 10**5})]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_sweep"] == 10**5
+
+
 def test_largest_machines_and_queue_depth_simulate(capsys):
     assert main(["simulate", "--machines", "1024", "--queue-depth", "4096", "--horizon", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["queue_depth"] == 4096
@@ -660,6 +682,23 @@ def test_oracle_check_validates_each_library_object_once(tmp_path, capsys, monke
     assert len(json.loads(capsys.readouterr().out)["ga_sweep"]) == sweep
     assert calls == {"GaConfig": 1, "OverloadConfig": 1, "SchedulerFitnessConfig": 1,
                      "SimConfig": 1, "SchedulingProblem": 1}
+
+
+def test_oracle_check_decodes_no_run_that_reaches_the_optimum(tmp_path, capsys, monkeypatch):
+    decoded = []
+
+    def counted(*args, decode=scheduler_ga.decode_schedule):
+        decoded.append(1)
+        return decode(*args)
+
+    monkeypatch.setattr(scheduler_ga, "decode_schedule", counted)
+    wl = write_workload(tmp_path, [(i, 0, 1) for i in range(7)])
+    cfg_path = write_config(tmp_path, {"oracle_sweep": 3})
+    argv = ["oracle-check", "--config", cfg_path, "--workload", wl, "--w", "1", "--delta", "0"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["oracle_optimum"] == 2.0 and doc["ga_sweep"] == [2.0, 2.0, 2.0]
+    assert decoded == []
 
 
 def test_oracle_check_runs_each_seed_on_the_publicly_built_problem(tmp_path, capsys,

@@ -344,6 +344,31 @@ def test_a_floor_at_a_positive_optimum_skips_every_generation_step(monkeypatch):
     assert steps
 
 
+@pytest.mark.parametrize("shape, optimum", [((7, 3, 3, 1, 0), 2.0), ((3, 3, 3, 2, 0), 0.0)],
+                         ids=["positive-optimum", "zero-optimum"])
+def test_a_run_at_its_floor_decodes_and_polishes_only_on_the_first_matrix_read(
+        monkeypatch, shape, optimum):
+    calls = []
+    for name in ("decode_schedule", "_polish"):
+        def counted(*args, name=name, fn=getattr(scheduler_ga, name)):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(scheduler_ga, name, counted)
+    p = problem(*shape)
+    # -1 lies below every score, so this run never ends at its floor
+    free = optimize_schedule(p, floor=-1.0)
+    assert calls == ["decode_schedule", "_polish"]
+    calls.clear()
+    floored = optimize_schedule(p, floor=optimum)
+    assert floored.history == [optimum] and floored.fitness == optimum
+    assert calls == []
+    matrix = floored.matrix
+    assert floored.matrix is matrix
+    assert calls == ["decode_schedule", "_polish"]
+    assert matrix == free.matrix and floored.fitness == free.fitness
+    assert schedule_fitness(matrix, p.fitness_cfg) == floored.fitness
+
+
 def test_optimizer_never_beats_initial_population_best():
     result = optimize_schedule(problem(J=7, k=3, m=3, w=1, delta=0, seed=4))
     assert result.fitness <= result.history[0]
